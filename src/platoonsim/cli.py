@@ -8,7 +8,8 @@ deterministic: rerunning the same inputs rewrites byte-identical files.
 
 exit 0  success
 exit 2  collision detected
-exit 3  invalid config, scenario diagnostics, or inadmissible perturbation
+exit 3  invalid config, scenario diagnostics, inadmissible perturbation, or
+        an envelope --check-only trajectory.csv that does not match the scenario
 exit 4  speed-box guard tripped (integrator misconfiguration signal)
 exit 5  certification failure
 exit 6  perturbation distances not decreasing
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .core import CaccParams, ModelKind, Scenario, ScenarioError, validate_scenario
-from .integrator import SolveResult, SolveStatus, simulate
+from .integrator import SolveResult, SolveStatus, simulate, trajectory_mismatches
 from .perturbation import (
     ConvergenceRow,
     ConvergenceTable,
@@ -56,7 +57,7 @@ from .trajectory_io import (
     write_trajectory_csv,
 )
 
-DETERMINISM_NOTE = ("fixed-step integration, quadrature with fixed subdivision, "
+DETERMINISM_NOTE = ("fixed-step integration, envelopes evaluated in closed form, "
                     "no randomness, no wall clock; identical inputs reproduce "
                     "outputs byte for byte")
 
@@ -249,6 +250,12 @@ def cmd_envelope(args) -> int:
             print(f"envelope --check-only: no trajectory at {traj_path}", file=sys.stderr)
             return 3
         traj = read_trajectory_csv(traj_path)
+        mismatches = trajectory_mismatches(s, traj)
+        for reason in mismatches:
+            print(f"envelope --check-only: {traj_path} is not a run of this scenario: {reason}",
+                  file=sys.stderr)
+        if mismatches:
+            return 3
         env = build_envelope(s, traj)
         report = certify_trajectory(traj, env)
         for name, margin, _, ok in report.rows():

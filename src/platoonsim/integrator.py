@@ -54,6 +54,8 @@ __all__ = [
     "step",
     "simulate",
     "reference_solve",
+    "time_grid",
+    "trajectory_mismatches",
 ]
 
 # Cap on event refinements inside one regular step; past this the trial is
@@ -479,6 +481,34 @@ def step(cfg: StepperConfig, s: Scenario, t: float, state: PlatoonState
     return t_new, PlatoonState(vehicles, t=t_new)
 
 
+def time_grid(s: Scenario) -> list[float]:
+    """simulate's output times for a run that reaches the horizon: i * dt,
+    then the horizon itself as the last point."""
+    n_steps = max(1, math.ceil(s.horizon / s.stepper.dt - 1e-9))
+    return [i * s.stepper.dt for i in range(n_steps)] + [s.horizon]
+
+
+def trajectory_mismatches(s: Scenario, traj: Trajectory) -> list[str]:
+    """Reasons why traj cannot be a completed simulate run of s; empty if none.
+
+    Checks the vehicle count, the first row against the initial state, the
+    last time against the horizon and the row count against the dt grid.
+    """
+    n = s.initial.n
+    if traj.n_vehicles != n:
+        return [f"{traj.n_vehicles} vehicles, the scenario has {n}"]
+    out = []
+    if (traj.positions[0].tolist() != [veh.x for veh in s.initial.vehicles]
+            or traj.velocities[0].tolist() != [veh.v for veh in s.initial.vehicles]):
+        out.append("the first row is not the scenario's initial state")
+    if float(traj.times[-1]) != s.horizon:
+        out.append(f"the last time {float(traj.times[-1])!r} is not the horizon {s.horizon!r}")
+    expected = len(time_grid(s))
+    if traj.n_points != expected:
+        out.append(f"{traj.n_points} rows, the dt grid has {expected}")
+    return out
+
+
 def simulate(s: Scenario, *, validate: bool = True) -> SolveResult:
     """Integrate the scenario over [0, horizon] on the regular dt grid.
 
@@ -493,14 +523,13 @@ def simulate(s: Scenario, *, validate: bool = True) -> SolveResult:
             raise ScenarioError(diags)
 
     cfg = s.stepper
-    dt = cfg.dt
-    T = s.horizon
     switch_tol = s.switch_tol
     guard = s.model_kind is ModelKind.PROPOSED
     eng = _Engine(s)
     run = _RunState()
     n = eng.n
-    n_steps = max(1, math.ceil(T / dt - 1e-9))
+    grid = time_grid(s)
+    n_steps = len(grid) - 1
 
     times = np.empty(n_steps + 1)
     positions = np.empty((n_steps + 1, n))
@@ -527,7 +556,7 @@ def simulate(s: Scenario, *, validate: bool = True) -> SolveResult:
     steps_taken = 0
     try:
         for i in range(1, n_steps + 1):
-            target = T if i == n_steps else i * dt
+            target = grid[i]
             t, y, f, phi = _advance(
                 eng, run, switch_tol, guard, cfg.guard_tol, t, y, f, phi, target)
             if guard:

@@ -23,6 +23,27 @@ import numpy as np
 
 __all__ = ["Segment", "PiecewiseProfile", "constant_profile", "profile_from_table"]
 
+# Taylor coefficients of (x - 1 + e^{-x}) / x^2 = sum_n (-x)^n / (n + 2)!,
+# highest order first for Horner; ten terms leave < 1e-18 below x = 0.1.
+_RAMP_SERIES = tuple((-1.0) ** n / math.factorial(n + 2) for n in range(9, -1, -1))
+
+
+def exp_ramp_weight(x: np.ndarray) -> np.ndarray:
+    """(x - 1 + e^{-x}) / x^2 elementwise for x >= 0, accurate as x -> 0.
+
+    tau^2 * exp_ramp_weight(a * tau) is int_0^tau e^{a(s - tau)} s ds. The
+    direct form loses every digit to cancellation for tiny x, so x < 0.1
+    uses the Taylor series instead.
+    """
+    x = np.asarray(x, dtype=float)
+    small = x < 0.1
+    xs = np.where(small, x, 0.0)
+    series = np.zeros_like(xs)
+    for c in _RAMP_SERIES:
+        series = series * xs + c
+    xl = np.where(small, 1.0, x)
+    return np.where(small, series, (np.expm1(-xl) + xl) / (xl * xl))
+
 
 @dataclass(frozen=True)
 class Segment:
@@ -55,6 +76,24 @@ class Segment:
             else:
                 total += amp * (math.cos(omega * da + phase) - math.cos(omega * db + phase)) / omega
         return total
+
+    def relaxed(self, rate: float, y0: float, tau):
+        """y(t0 + tau) for y' = rate (value - y), y(t0) = y0, tau >= 0.
+
+        Closed form term by term, using
+        int e^{as} sin(ws + p) ds = e^{as} (a sin(ws + p) - w cos(ws + p)) / (a^2 + w^2);
+        only the decaying factor e^{-rate tau} is ever formed.
+        """
+        tau = np.asarray(tau, dtype=float)
+        x = rate * tau
+        decay = np.exp(-x)
+        y = y0 * decay - self.const * np.expm1(-x) + rate * self.slope * tau * tau * exp_ramp_weight(x)
+        for amp, omega, phase in self.sines:
+            arg = omega * tau + phase
+            at_t0 = rate * math.sin(phase) - omega * math.cos(phase)
+            y = y + (amp * rate / (rate * rate + omega * omega)) * (
+                rate * np.sin(arg) - omega * np.cos(arg) - decay * at_t0)
+        return y
 
     def rebased(self, t0: float, t1: float) -> "Segment":
         """Same function restricted to [t0, t1] with coefficients rebased to t0."""
@@ -234,6 +273,46 @@ class PiecewiseProfile:
                                   slope=sa.slope + sb.slope,
                                   sines=sa.sines + sb.sines))
         return PiecewiseProfile(tuple(merged))
+
+    def _pieces_from_zero(self) -> tuple[Segment, ...]:
+        """Segments covering [0, inf) that agree with value() there.
+
+        value() holds the end values outside [start, end], so constant
+        pieces pad the span on both sides; a segment reaching below 0 is
+        rebased to start at 0.
+        """
+        first, last = self.segments[0], self.segments[-1]
+        pieces = []
+        if self.start > 0.0:
+            pieces.append(Segment(0.0, self.start, const=first.value(first.t0)))
+        for seg in self.segments:
+            if seg.t1 > 0.0:
+                pieces.append(seg if seg.t0 >= 0.0 else seg.rebased(0.0, seg.t1))
+        pieces.append(Segment(max(self.end, 0.0), math.inf, const=last.value(last.t1)))
+        return tuple(pieces)
+
+    def relaxation(self, rate: float, y0: float, ts: np.ndarray) -> np.ndarray:
+        """y(t) at each t >= 0 for y' = rate (value(t) - y), y(0) = y0.
+
+        That is y0 e^{-rate t} + rate int_0^t e^{rate (s - t)} value(s) ds,
+        exact segment by segment: the value at each segment's start is
+        carried forward with the decaying factor e^{-rate (t1 - t0)}, so
+        rate * t beyond the float exponent range cannot overflow.
+        """
+        ts = np.asarray(ts, dtype=float)
+        if (ts < 0.0).any():
+            raise ValueError("t must be nonnegative")
+        pieces = self._pieces_from_zero()
+        which = np.searchsorted([seg.t0 for seg in pieces], ts, side="right") - 1
+        out = np.empty_like(ts)
+        y = y0
+        for j, seg in enumerate(pieces):
+            mask = which == j
+            if mask.any():
+                out[mask] = seg.relaxed(rate, y, ts[mask] - seg.t0)
+            if j + 1 < len(pieces):
+                y = float(seg.relaxed(rate, y, seg.t1 - seg.t0))
+        return out
 
     def is_constant(self) -> float | None:
         """The profile's value if it is a single constant segment, else None."""

@@ -8,6 +8,12 @@ and headway envelopes are assembled from it. An a priori fixed-point
 variant (alternating envelope integral and headway bound, starting from the
 initial headway) is provided as well for certification before simulating.
 
+The envelopes of build_envelope and build_envelope_apriori are evaluated
+in closed form and accept a float or a numpy array of times, so a whole
+trajectory grid is certified in one vectorised pass. The scalar
+velocity_upper_envelope, which takes an arbitrary headway envelope, keeps
+adaptive quadrature and serves as the reference for the closed form.
+
 Envelopes may be visibly loose relative to the trajectory: the constants
 are used raw, with no calibration step.
 """
@@ -21,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import ModelKind, ModelParams, Scenario, Trajectory
-from .profiles import PiecewiseProfile
+from .profiles import PiecewiseProfile, exp_ramp_weight
 
 __all__ = [
     "SafetyEnvelope",
@@ -52,8 +58,9 @@ class SafetyEnvelope:
 
     underline_h: certified minimum headway.
     H: headway time-integral constant used to produce it.
-    V_lo, h_hi, V_hi: scalar time envelopes (velocity lower, headway upper,
-    velocity upper). v_bar carries the speed cap for the box check.
+    V_lo, h_hi, V_hi: time envelopes (velocity lower, headway upper,
+    velocity upper); each maps a float to a float and an array of times to
+    an array of the same shape. v_bar carries the speed cap for the box check.
     """
 
     underline_h: float
@@ -127,18 +134,30 @@ def envelope_decay_rate(p: ModelParams, underline_h: float) -> float:
     return max(p.k_v / (underline_h * underline_h) + p.k_d * p.tau_s, p.k)
 
 
-def velocity_lower_envelope(p: ModelParams, v0: float, underline_h: float, t: float) -> float:
-    if t < 0.0:
+def _time_array(t) -> np.ndarray:
+    ts = np.array(t, dtype=float, ndmin=1)
+    if (ts < 0.0).any():
         raise ValueError("t must be nonnegative")
-    return v0 * math.exp(-envelope_decay_rate(p, underline_h) * t)
+    return ts
+
+
+def _shaped(t, values: np.ndarray):
+    """A float for a scalar t, else the values in t's shape."""
+    return float(values[0]) if np.ndim(t) == 0 else values.reshape(np.shape(t))
+
+
+def velocity_lower_envelope(p: ModelParams, v0: float, underline_h: float, t):
+    """v0 e^{-rt} at a float or an array of times t >= 0."""
+    ts = _time_array(t)
+    return _shaped(t, v0 * np.exp(-envelope_decay_rate(p, underline_h) * ts))
 
 
 def headway_upper_envelope(p: ModelParams, h0: float, v0: float, v_bar: float,
-                           underline_h: float, t: float) -> float:
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
+                           underline_h: float, t):
+    """h0 + v_bar t + v0 (e^{-rt} - 1)/r at a float or an array of times t >= 0."""
+    ts = _time_array(t)
     r = envelope_decay_rate(p, underline_h)
-    return h0 + v_bar * t + v0 * (math.exp(-r * t) - 1.0) / r
+    return _shaped(t, h0 + v_bar * ts + v0 * (np.exp(-r * ts) - 1.0) / r)
 
 
 def _adaptive_simpson(f, a: float, b: float, rel_tol: float) -> float:
@@ -175,12 +194,14 @@ def velocity_upper_envelope(p: ModelParams, v0: float, u: PiecewiseProfile,
                             h_hi: Callable[[float], float], underline_h: float,
                             v_bar: float, t: float) -> float:
     """Velocity upper envelope: min of the control-relaxation branch and the
-    spacing-relaxation branch.
+    spacing-relaxation branch, at one time t for an arbitrary h_hi callable.
 
     Control branch: k * int_0^t e^{k(s-t)} u(s) ds + v0 e^{-kt}, which for a
     constant control closes to u + (v0 - u) e^{-kt}. Spacing branch:
     int_0^t e^{k_d tau_s (s-t)} (k_d h_hi(s) + k_v v_bar / underline_h^2) ds
-    + v0 e^{-k_d tau_s t}. Integrals use adaptive Simpson at 1e-9 relative.
+    + v0 e^{-k_d tau_s t}. Integrals use adaptive Simpson at 1e-9 relative,
+    restarted from 0 for every t. This is the reference that the closed-form
+    V_hi of build_envelope is tested against; certification never calls it.
     """
     if t < 0.0:
         raise ValueError("t must be nonnegative")
@@ -203,18 +224,42 @@ def velocity_upper_envelope(p: ModelParams, v0: float, u: PiecewiseProfile,
     return min(branch1, branch2)
 
 
+def _spacing_branch(p: ModelParams, h0: float, v0: float, v_bar: float,
+                    underline_h: float, ts: np.ndarray) -> np.ndarray:
+    """The spacing branch of velocity_upper_envelope for its own h_hi, exactly.
+
+    With b = k_d tau_s and r the decay rate, k_d h_hi(s) + drive is
+    c + k_d v_bar s + (k_d v0 / r) e^{-rs}, c = k_d (h0 - v0/r) + drive, so
+    the branch is c I0 + k_d v_bar I1 + (k_d v0 / r) I2 + v0 e^{-bt} with
+    I0 = (1 - e^{-bt})/b, I1 = t/b - I0/b and I2 = (e^{-rt} - e^{-bt})/(b - r).
+    Each is evaluated in a form that stays accurate as b t -> 0 and r -> b
+    (r > b because k_v > 0; r - b is exact when r and b are close).
+    """
+    b = p.k_d * p.tau_s
+    r = envelope_decay_rate(p, underline_h)
+    drive = p.k_v * v_bar / (underline_h * underline_h)
+    c = p.k_d * (h0 - v0 / r) + drive
+    decay = np.exp(-b * ts)
+    i0 = -np.expm1(-b * ts) / b
+    i1 = ts * ts * exp_ramp_weight(b * ts)
+    i2 = decay * -np.expm1(-(r - b) * ts) / (r - b)
+    return c * i0 + p.k_d * v_bar * i1 + (p.k_d * v0 / r) * i2 + v0 * decay
+
+
 def _assemble(p: ModelParams, h0: float, v0: float, underline_h: float, H: float,
               u: PiecewiseProfile) -> SafetyEnvelope:
     v_bar = p.v_bar
 
-    def V_lo(t: float) -> float:
+    def V_lo(t):
         return velocity_lower_envelope(p, v0, underline_h, t)
 
-    def h_hi(t: float) -> float:
+    def h_hi(t):
         return headway_upper_envelope(p, h0, v0, v_bar, underline_h, t)
 
-    def V_hi(t: float) -> float:
-        return velocity_upper_envelope(p, v0, u, h_hi, underline_h, v_bar, t)
+    def V_hi(t):
+        ts = _time_array(t)
+        return _shaped(t, np.minimum(u.relaxation(p.k, v0, ts),
+                                     _spacing_branch(p, h0, v0, v_bar, underline_h, ts)))
 
     return SafetyEnvelope(underline_h, H, V_lo, h_hi, V_hi, v_bar)
 
@@ -294,9 +339,9 @@ def certify_trajectory(traj: Trajectory, env: SafetyEnvelope, tol: float = 1e-6,
     times = traj.times
     h = traj.positions[:, follower - 1] - traj.positions[:, follower]
     v = traj.velocities[:, follower]
-    lo = np.array([env.V_lo(t) for t in times])
-    hi = np.array([env.V_hi(t) for t in times])
-    h_cap = np.array([env.h_hi(t) for t in times])
+    lo = env.V_lo(times)
+    hi = env.V_hi(times)
+    h_cap = env.h_hi(times)
 
     margins = (
         ("headway_lower", h - env.underline_h),

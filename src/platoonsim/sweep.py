@@ -3,7 +3,8 @@
 Each grid point rebuilds the platoon from scratch: n vehicles at equal
 initial headways, the leader keeping the base scenario's profile, every
 follower starting at the grid velocity, controls broadcast from the base
-scenario's first follower. Parameter-grid keys override the base gains.
+scenario's first follower. Parameter-grid keys override the base gains
+(inside CaccParams for a CACC scenario, which keeps its own constants).
 
 Runs are independent, so the sweep can fan out over processes; results are
 collected in grid order regardless of completion order, keeping the
@@ -19,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import PlatoonState, Scenario, VehicleState
+from .core import CaccParams, PlatoonState, Scenario, VehicleState
 from .integrator import SolveStatus, simulate
 from .safety import headway_lower_bound
 from .scenario_io import SweepConfig
@@ -57,9 +58,10 @@ def _axes_of(cfg: SweepConfig) -> list[tuple[tuple[int, float, float], tuple[tup
 
 def _grid_scenario(base: Scenario, n: int, h0: float, v0: float,
                    overrides: tuple[tuple[str, float], ...]) -> Scenario:
-    params = base.base_params
+    params = base.params
     if overrides:
-        params = replace(params, **dict(overrides))
+        gains = replace(base.base_params, **dict(overrides))
+        params = replace(params, base=gains) if isinstance(params, CaccParams) else gains
     vehicles = [VehicleState(h0 * (n - 1 - i), v0) for i in range(n)]
     vehicles[0] = VehicleState(vehicles[0].x, base.leader.v0)
     controls = tuple(base.controls[0] for _ in range(n - 1))

@@ -106,12 +106,10 @@ def write_convergence_csv(table: ConvergenceTable, path) -> None:
 def write_envelope_csv(traj: Trajectory, env: SafetyEnvelope, path,
                        follower: int = 1) -> None:
     """Plot-ready columns t, v, V_lo, V_hi, h, h_hi for one pair."""
-    h = traj.positions[:, follower - 1] - traj.positions[:, follower]
-    v = traj.velocities[:, follower]
+    t = traj.times
+    cols = (t, traj.velocities[:, follower], env.V_lo(t), env.V_hi(t),
+            traj.positions[:, follower - 1] - traj.positions[:, follower], env.h_hi(t))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["t", "v", "V_lo", "V_hi", "h", "h_hi"])
-        for r in range(traj.n_points):
-            t = float(traj.times[r])
-            w.writerow([fmt(t), fmt(v[r]), fmt(env.V_lo(t)), fmt(env.V_hi(t)),
-                        fmt(h[r]), fmt(env.h_hi(t))])
+        w.writerows([fmt(x) for x in row] for row in zip(*(c.tolist() for c in cols)))

@@ -1,9 +1,11 @@
 """End-to-end command-line behavior, driven in-process through main()."""
 
+import csv
 import json
 
 import pytest
 
+from platoonsim import BranchFlag
 from platoonsim.cli import main
 
 SWEEP_CFG = """\
@@ -72,6 +74,13 @@ class TestSimulate:
         assert "collision" in out and "follower 1" in out
         # the truncated trajectory is still written for inspection
         assert (tmp_path / "trajectory.csv").exists()
+
+    def test_first_row_records_gap_branch(self, tmp_path):
+        """fig4 starts on the gap term, which the README documents as code 0."""
+        assert run("simulate", "--preset", "fig4", "--out", str(tmp_path)) == 0
+        with open(tmp_path / "trajectory.csv", encoding="utf-8", newline="") as fh:
+            row0 = next(csv.DictReader(fh))
+        assert int(row0["branch_1"]) == BranchFlag.GAP
 
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -170,6 +179,18 @@ class TestEnvelope:
         assert code == 5
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("other", [("--preset", "fig3a_01"),
+                                       ("--preset", "fig4", "--dt", "0.02")],
+                             ids=["other_preset", "other_dt"])
+    def test_check_only_rejects_trajectory_of_another_scenario(self, tmp_path, capsys, other):
+        assert run("envelope", "--preset", "fig4", "--out", str(tmp_path)) == 0
+        capsys.readouterr()
+        code = run("envelope", *other, "--out", str(tmp_path), "--check-only")
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "is not a run of this scenario" in captured.err
+        assert "FAIL" not in captured.out
+
     def test_check_only_without_trajectory(self, tmp_path, capsys):
         code = run("envelope", "--preset", "fig4", "--out", str(tmp_path), "--check-only")
         assert code == 3
@@ -226,6 +247,16 @@ class TestSweep:
         assert run("sweep", "--config", str(cfg), "--out", str(a)) == 0
         assert run("sweep", "--config", str(cfg), "--out", str(b), "--workers", "2") == 0
         assert (a / "runs.csv").read_bytes() == (b / "runs.csv").read_bytes()
+
+    def test_cacc_grid_with_gain_override(self, tmp_path, capsys):
+        cfg = tmp_path / "s.ini"
+        text = SWEEP_CFG.replace("model_kind = proposed", "model_kind = cacc")
+        cfg.write_text(text + "k_d = 0.1, 0.2\n", encoding="utf-8")
+        code = run("sweep", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 0
+        lines = (tmp_path / "o" / "runs.csv").read_text().splitlines()
+        assert len(lines) == 1 + 8
+        assert "8/8 runs completed" in capsys.readouterr().out
 
     def test_config_without_sweep_section(self, tmp_path, capsys):
         code = run("sweep", "--preset", "fig4", "--out", str(tmp_path))

@@ -24,6 +24,7 @@ from platoonsim import (
     simulate,
     step,
 )
+from platoonsim.integrator import time_grid, trajectory_mismatches
 
 
 def test_rhs_leader_components(fig1_left_scenario):
@@ -107,6 +108,18 @@ class TestFig1Left:
     def test_output_grid_is_regular(self, fig1_left_result):
         t = np.asarray(fig1_left_result.trajectory.times)
         assert np.allclose(np.diff(t), 0.01, atol=1e-12)
+
+
+def test_time_grid_is_the_output_grid(fig4_scenario, fig4_result):
+    traj = fig4_result.trajectory
+    assert traj.times.tolist() == time_grid(fig4_scenario)
+    assert trajectory_mismatches(fig4_scenario, traj) == []
+
+
+def test_truncated_run_is_not_a_completed_run():
+    s = load_preset("fig1_right_cacc").scenario
+    reasons = trajectory_mismatches(s, simulate(s).trajectory)
+    assert len(reasons) == 2  # the last time and the row count
 
 
 class TestCollision:

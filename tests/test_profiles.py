@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from platoonsim import PiecewiseProfile, Segment, constant_profile, profile_from_table
+from platoonsim.profiles import exp_ramp_weight
 
 
 def ramp(t0, t1, start, end):
@@ -157,6 +158,16 @@ def test_profile_from_table_interpolates():
     assert p.value(0.5) == pytest.approx(1.0)
     assert p.value(2.0) == pytest.approx(1.0)
     assert p.integrate(0.0, 3.0) == pytest.approx(3.0, rel=1e-14)
+
+
+def test_exp_ramp_weight_series_meets_direct_form():
+    """Around the switch from the Taylor series to the direct form both agree."""
+    below, at = exp_ramp_weight(np.array([np.nextafter(0.1, 0.0), 0.1]))
+    direct = lambda x: (math.expm1(-x) + x) / (x * x)
+    assert below == pytest.approx(direct(0.1), rel=1e-13)
+    assert at == pytest.approx(direct(0.1), rel=1e-13)
+    assert exp_ramp_weight(np.array([0.0]))[0] == 0.5
+    assert exp_ramp_weight(np.array([1e-12]))[0] == pytest.approx(0.5 - 1e-12 / 6, rel=1e-15)
 
 
 def test_profile_from_table_needs_two_points():

@@ -31,7 +31,8 @@ from platoonsim import (
     velocity_lower_envelope,
     velocity_upper_envelope,
 )
-from platoonsim.safety import CHECK_NAMES
+from platoonsim.profiles import PiecewiseProfile, Segment, profile_from_table
+from platoonsim.safety import CHECK_NAMES, _assemble
 
 
 def constant_headway_trajectory(h, T, n_points=11):
@@ -173,6 +174,102 @@ class TestVelocityUpperEnvelope:
                                           5.0, 2.0, float(t))
             assert prev - 1e-12 <= got <= 1.9 + 1e-12
             prev = got
+
+
+def reference_V_hi(p, v0, u, env, ts):
+    """The quadrature envelope, one adaptive integral per time."""
+    return np.array([velocity_upper_envelope(p, v0, u, env.h_hi, env.underline_h, p.v_bar,
+                                             float(t)) for t in ts])
+
+
+def max_rel_diff(got, want):
+    return float(np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-300)))
+
+
+# Controls covering every segment term: ramps, sines, tables, several
+# segments, and spans that start after 0 or before it (value() holds the
+# end values outside the span).
+CONTROLS = {
+    "ramp": PiecewiseProfile((Segment(0.0, 100.0, const=0.2, slope=0.015),)),
+    "sin": PiecewiseProfile((Segment(0.0, 100.0, const=1.0, sines=((0.5, 0.7, 0.3),)),)),
+    "table": profile_from_table([(0, 0.5), (10, 1.5), (25, 0.3), (70, 1.9), (100, 1.0)]),
+    "multi": PiecewiseProfile((
+        Segment(0.0, 30.0, const=1.0, sines=((0.5, 0.7, 0.3), (0.1, 3.0, 1.0))),
+        Segment(30.0, 60.0, const=0.5, slope=0.01),
+        Segment(60.0, 100.0, const=1.5))),
+    "late_start": PiecewiseProfile((
+        Segment(20.0, 50.0, const=0.4, slope=0.02, sines=((0.2, 1.0, 0.5),)),
+        Segment(50.0, 80.0, const=1.2))),
+    "early_start": PiecewiseProfile((
+        Segment(-20.0, 50.0, const=0.4, slope=0.02, sines=((0.2, 1.0, 0.5),)),
+        Segment(50.0, 80.0, const=1.2))),
+}
+
+# A control far above any spacing branch, so that V_hi is the spacing branch.
+SPACING_ONLY = constant_profile(1e6, 0.0, 1.0)
+
+GRID = np.linspace(0.0, 100.0, 101)
+
+
+class TestClosedFormEnvelope:
+    """build_envelope's V_hi is closed form; velocity_upper_envelope's
+    quadrature is the reference it must match to 1e-9 relative."""
+
+    @pytest.mark.parametrize("preset", ["fig4", "fig1_left"])
+    def test_matches_quadrature_on_preset_grid(self, preset):
+        s = load_preset(preset).scenario
+        traj = simulate(s).trajectory
+        env = build_envelope(s, traj)
+        ts = traj.times[::10] if traj.n_points < 2000 else traj.times[::100]
+        v0 = s.initial.vehicles[1].v
+        assert max_rel_diff(env.V_hi(ts), reference_V_hi(s.base_params, v0, s.controls[0],
+                                                         env, ts)) <= 1e-9
+        spacing = _assemble(s.base_params, s.initial.vehicles[0].x - s.initial.vehicles[1].x,
+                            v0, env.underline_h, env.H, SPACING_ONLY)
+        assert max_rel_diff(spacing.V_hi(ts), reference_V_hi(s.base_params, v0, SPACING_ONLY,
+                                                             spacing, ts)) <= 1e-9
+
+    @pytest.mark.parametrize("control", sorted(CONTROLS))
+    def test_matches_quadrature_for_control(self, reference_params, control):
+        u = CONTROLS[control]
+        env = _assemble(reference_params, 5.0, 0.5, 0.8, 0.0, u)
+        assert max_rel_diff(env.V_hi(GRID), reference_V_hi(reference_params, 0.5, u, env,
+                                                           GRID)) <= 1e-9
+
+    @pytest.mark.parametrize("u", [CONTROLS["sin"], SPACING_ONLY], ids=["control", "spacing"])
+    def test_tiny_spacing_rate(self, reference_params, u):
+        p = replace(reference_params, tau_s=1e-10 / reference_params.k_d)
+        env = _assemble(p, 5.0, 0.5, 0.8, 0.0, u)
+        assert max_rel_diff(env.V_hi(GRID), reference_V_hi(p, 0.5, u, env, GRID)) <= 1e-9
+
+    @pytest.mark.parametrize("u", [CONTROLS["multi"], SPACING_ONLY], ids=["control", "spacing"])
+    def test_rate_times_horizon_beyond_exp_range(self, reference_params, u):
+        p = replace(reference_params, k=20.0, k_d=10.0)
+        ts = GRID[::4]  # the steep kernels make the reference slow
+        assert p.k * ts[-1] > 709.0 and p.k_d * p.tau_s * ts[-1] > 709.0
+        env = _assemble(p, 5.0, 0.5, 0.8, 0.0, u)
+        got = env.V_hi(ts)
+        assert np.isfinite(got).all()
+        assert max_rel_diff(got, reference_V_hi(p, 0.5, u, env, ts)) <= 1e-9
+
+    @pytest.mark.parametrize("control", ["table", "multi", "late_start"])
+    def test_array_call_equals_pointwise(self, reference_params, control):
+        env = _assemble(reference_params, 5.0, 0.5, 0.8, 0.0, CONTROLS[control])
+        ts = np.sort(np.random.default_rng(7).uniform(0.0, 120.0, 2000))
+        for f in (env.V_lo, env.h_hi, env.V_hi):
+            values = f(ts)
+            assert values.shape == ts.shape
+            assert np.array_equal(values, [f(float(t)) for t in ts])
+            assert np.array_equal(f(ts.reshape(40, 50)), values.reshape(40, 50))
+            assert isinstance(f(1.5), float)
+
+    def test_negative_time_rejected(self, fig4_scenario, fig4_result):
+        env = build_envelope(fig4_scenario, fig4_result.trajectory)
+        for f in (env.V_lo, env.h_hi, env.V_hi):
+            with pytest.raises(ValueError):
+                f(-1e-3)
+            with pytest.raises(ValueError):
+                f(np.array([0.0, 1.0, -2.0]))
 
 
 class TestBuildAndCertify:

@@ -1,6 +1,8 @@
 """Config parsing, the profile clause grammar, and run manifests."""
 
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -363,3 +365,11 @@ class TestPresets:
         cfg = load_preset("sweep_demo")
         assert cfg.sweep is not None
         assert cfg.sweep.size() >= 200
+
+
+def test_readme_ini_blocks_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```ini\n(.*?)^```", readme, re.S | re.M)
+    assert blocks
+    for block in blocks:
+        parse_config(block)

@@ -3,6 +3,7 @@
 import pytest
 
 from platoonsim import (
+    CaccParams,
     SweepConfig,
     expand_sweep,
     load_preset,
@@ -74,6 +75,14 @@ class TestExpand:
         scenarios = expand_sweep(small_cfg.scenario, cfg)
         assert [s.params.k_d for s in scenarios] == [0.1, 0.3]
         assert all(s.params.k_v == 1.0 for s in scenarios)
+
+    def test_param_grid_overrides_keep_cacc_params(self):
+        base = parse_config(SMALL.replace("model_kind = proposed", "model_kind = cacc\nk_a = 0.7"))
+        cfg = SweepConfig(n=(2,), headways=(1.0,), velocities=(0.0,),
+                          param_grids={"k_d": (0.1, 0.3)})
+        scenarios = expand_sweep(base.scenario, cfg)
+        assert all(isinstance(s.params, CaccParams) and s.params.k_a == 0.7 for s in scenarios)
+        assert [s.params.base.k_d for s in scenarios] == [0.1, 0.3]
 
 
 class TestRunSweep:
