@@ -85,6 +85,8 @@ class SolveStats:
     switch_refinements: int
     switch_events: tuple[SwitchEvent, ...] = ()
     guard_violation: tuple[int, float] | None = None
+    # Steps where _MAX_EVENTS_PER_STEP bound and the last trial was accepted as-is.
+    event_cap_hits: int = 0
 
 
 @dataclass(frozen=True)
@@ -113,20 +115,12 @@ class _Singular(Exception):
     """Internal: a singular law was asked for a non-positive headway."""
 
 
-def _sgn(x: float) -> int:
-    if x > TIE_TOLERANCE:
-        return 1
-    if x < -TIE_TOLERANCE:
-        return -1
-    return 0
+def _signs(phi: list[float]) -> list[int]:
+    """Branch sign per follower: 1 control, -1 gap, 0 tie (within TIE_TOLERANCE)."""
+    return [(p > TIE_TOLERANCE) - (p < -TIE_TOLERANCE) for p in phi]
 
 
-def _branch_code(x: float) -> int:
-    if x > TIE_TOLERANCE:
-        return int(BranchFlag.CONTROL)
-    if x < -TIE_TOLERANCE:
-        return int(BranchFlag.GAP)
-    return int(BranchFlag.TIE)
+_FLAG_OF_SIGN = {1: BranchFlag.CONTROL, -1: BranchFlag.GAP}
 
 
 class _Engine:
@@ -151,6 +145,12 @@ class _Engine:
         self._al_const = s.leader.accel.is_constant()
         self._u_profiles = s.controls
         self._u_consts = [u.is_constant() for u in s.controls]
+        if self._al_const is not None and None not in self._u_consts:
+            fixed = (self._al_const, self._u_consts)
+            self.forcing = lambda t: fixed
+        else:
+            self._forcing_t = None
+            self.forcing = self._forcing_memo
         if s.model_kind is ModelKind.PROPOSED:
             self.deriv = self._make_proposed(base)
         elif s.model_kind is ModelKind.CACC:
@@ -160,20 +160,32 @@ class _Engine:
         else:
             self.deriv = self._make_ovfl(OvflParams(base.k_v, base.k_d))
 
-    def _leader_accel(self, t: float) -> float:
-        c = self._al_const
-        return c if c is not None else self._al_profile.value(t)
+    def _forcing_memo(self, t: float) -> tuple[float, list[float]]:
+        """Leader acceleration and follower controls at t, for time-varying profiles.
+
+        A one-entry memo on t: RK4's k2 and k3 share t + h/2, and k4 and the
+        accepted point usually share the step's end, so each profile is
+        evaluated once per distinct stage time.
+        """
+        if t != self._forcing_t:
+            c = self._al_const
+            a_l = c if c is not None else self._al_profile.value(t)
+            us = [uc if uc is not None else u.value(t)
+                  for uc, u in zip(self._u_consts, self._u_profiles)]
+            self._forcing_t = t
+            self._forcing_at = (a_l, us)
+        return self._forcing_at
 
     def _make_proposed(self, p):
         kv, kd, kk, ts = p.k_v, p.k_d, p.k, p.tau_s
         n, size = self.n, self.size
-        u_consts, u_profiles = self._u_consts, self._u_profiles
+        forcing = self.forcing
         phi = self.phi
 
         def deriv(t, y):
             out = [0.0] * size
             out[0] = y[1]
-            out[1] = self._leader_accel(t)
+            out[1], us = forcing(t)
             minh = math.inf
             mi = 1
             j = 2
@@ -187,10 +199,7 @@ class _Engine:
                     minh = h
                     mi = i
                 gap_term = kv * (y[j - 1] - v) / (h * h) + kd * (h - ts * v)
-                u = u_consts[i - 1]
-                if u is None:
-                    u = u_profiles[i - 1].value(t)
-                control_term = kk * (u - v)
+                control_term = kk * (us[i - 1] - v)
                 phi[i - 1] = gap_term - control_term
                 out[j] = v
                 out[j + 1] = gap_term if gap_term < control_term else control_term
@@ -207,13 +216,13 @@ class _Engine:
         ka = c.k_a
         gdd = 1.0 / c.d - 1.0 / c.d_l
         n, size = self.n, self.size
-        u_consts, u_profiles = self._u_consts, self._u_profiles
+        forcing = self.forcing
         phi = self.phi
 
         def deriv(t, y):
             out = [0.0] * size
             out[0] = y[1]
-            a_prev = self._leader_accel(t)
+            a_prev, us = forcing(t)
             out[1] = a_prev
             minh = math.inf
             mi = 1
@@ -232,10 +241,7 @@ class _Engine:
                 if gam < 2.0:
                     gam = 2.0
                 spacing_term = ka * a_prev + kv * (y[j - 1] - v) + kd * (h - gam)
-                u = u_consts[i - 1]
-                if u is None:
-                    u = u_profiles[i - 1].value(t)
-                control_term = kk * (u - v)
+                control_term = kk * (us[i - 1] - v)
                 phi[i - 1] = spacing_term - control_term
                 a = spacing_term if spacing_term < control_term else control_term
                 out[j] = v
@@ -252,11 +258,12 @@ class _Engine:
         kv, kd = p.k_v, p.k_d
         n, size = self.n, self.size
         tanh = math.tanh
+        forcing = self.forcing
 
         def deriv(t, y):
             out = [0.0] * size
             out[0] = y[1]
-            out[1] = self._leader_accel(t)
+            out[1] = forcing(t)[0]
             minh = math.inf
             mi = 1
             j = 2
@@ -292,13 +299,16 @@ class _Engine:
 
 
 class _RunState:
-    """Mutable bookkeeping for one simulate call."""
+    """Settings and counters of one simulate or step call (guard_tol None: no guard)."""
 
-    __slots__ = ("switch_refinements", "events")
+    __slots__ = ("switch_tol", "guard_tol", "switch_refinements", "events", "event_cap_hits")
 
-    def __init__(self):
+    def __init__(self, switch_tol: float, guard_tol: float | None):
+        self.switch_tol = switch_tol
+        self.guard_tol = guard_tol
         self.switch_refinements = 0
         self.events: list[SwitchEvent] = []
+        self.event_cap_hits = 0
 
 
 def _headways_of(y: list[float], n: int) -> list[float]:
@@ -322,41 +332,36 @@ class _Guard(Exception):
         self.velocity = velocity
 
 
-def _advance(eng: _Engine, run: _RunState, switch_tol: float, guard: bool,
-             guard_tol: float, t: float, y: list[float], f, phi: list[float],
-             target: float):
-    """March from the accepted node (t, y) to target, resolving events.
+def _advance(eng: _Engine, run: _RunState, t: float, y: list[float], f,
+             signs: list[int], target: float):
+    """March from the accepted node (t, y), whose branch signs are signs, to target.
 
-    Returns (t, y, f, phi) at target. Raises _Collision or _Guard with the
-    final node when the run must stop early.
+    Returns (y, f, phi, signs) at target, after the speed-box guard. Raises
+    _Collision or _Guard with the final node when the run must stop early.
     """
-    signs = [_sgn(p) for p in phi]
     for _ in range(_MAX_EVENTS_PER_STEP):
-        h = target - t
         try:
-            y_trial = eng.rk4(t, y, h, f)
+            y_trial = eng.rk4(t, y, target - t, f)
             f_trial = eng.deriv(target, y_trial)
             crossed = eng.minh <= 0.0
         except _Singular:
             crossed = True
-            y_trial = None
-            f_trial = None
         if crossed:
-            raise _bisect_collision(eng, switch_tol, t, y, f, target)
-        signs_trial = [_sgn(p) for p in eng.phi]
-        flipped = [i for i, (a, b) in enumerate(zip(signs, signs_trial)) if a * b == -1]
-        if not flipped:
-            return target, y_trial, f_trial, list(eng.phi)
+            raise _bisect_collision(eng, run.switch_tol, t, y, f, target)
+        phi_trial = eng.phi[:]
+        signs_trial = _signs(phi_trial)
+        if signs_trial == signs or -1 not in [a * b for a, b in zip(signs, signs_trial)]:
+            return _apply_guard(eng, run.guard_tol, target, y_trial, f_trial, phi_trial, signs_trial)
 
         # Bracket the earliest sign change of the one-step map.
         lo, hi = t, target
-        while hi - lo > switch_tol:
+        while hi - lo > run.switch_tol:
             mid = 0.5 * (lo + hi)
             try:
                 y_mid = eng.rk4(t, y, mid - t, f)
                 eng.deriv(mid, y_mid)
-                changed = eng.minh <= 0.0 or any(
-                    s * _sgn(p) == -1 for s, p in zip(signs, eng.phi))
+                changed = eng.minh <= 0.0 or -1 in [
+                    a * b for a, b in zip(signs, _signs(eng.phi))]
             except _Singular:
                 changed = True
             if changed:
@@ -370,20 +375,18 @@ def _advance(eng: _Engine, run: _RunState, switch_tol: float, guard: bool,
             if eng.minh <= 0.0:
                 raise _Singular(eng.minh_idx)
         except _Singular:
-            raise _bisect_collision(eng, switch_tol, t, y, f, hi)
+            raise _bisect_collision(eng, run.switch_tol, t, y, f, hi)
+        phi_hi = eng.phi[:]
+        signs_hi = _signs(phi_hi)
         mid_time = 0.5 * (lo + hi)
-        for i, (a, b) in enumerate(zip(signs, (_sgn(p) for p in eng.phi))):
+        for i, (a, b) in enumerate(zip(signs, signs_hi)):
             if a * b == -1:
-                run.events.append(SwitchEvent(
-                    mid_time, i + 1,
-                    BranchFlag(_branch_code(math.copysign(1.0, a))) if a else BranchFlag.TIE,
-                    BranchFlag(_branch_code(math.copysign(1.0, b))) if b else BranchFlag.TIE))
-        t, y, f = hi, y_hi, f_hi
-        phi = list(eng.phi)
-        if guard:
-            y, f, phi = _apply_guard(eng, guard_tol, t, y, f, phi)
-        signs = [_sgn(p) for p in phi]
-    return target, y_trial, f_trial, list(eng.phi)
+                run.events.append(SwitchEvent(mid_time, i + 1, _FLAG_OF_SIGN[a], _FLAG_OF_SIGN[b]))
+        t = hi
+        y, f, _, signs = _apply_guard(eng, run.guard_tol, hi, y_hi, f_hi, phi_hi, signs_hi)
+    # The event cap was hit: accept the last trial as is.
+    run.event_cap_hits += 1
+    return _apply_guard(eng, run.guard_tol, target, y_trial, f_trial, phi_trial, signs_trial)
 
 
 def _bisect_collision(eng: _Engine, switch_tol: float, t: float, y: list[float],
@@ -402,19 +405,19 @@ def _bisect_collision(eng: _Engine, switch_tol: float, t: float, y: list[float],
             hi = mid
         else:
             lo = mid
-    if lo == t:
-        hws = _headways_of(y, eng.n)
-        follower = 1 + hws.index(min(hws))
-        return _Collision(t, y, follower)
-    y_lo = eng.rk4(t, y, lo - t, f)
+    y_lo = y if lo == t else eng.rk4(t, y, lo - t, f)
     hws = _headways_of(y_lo, eng.n)
-    follower = 1 + hws.index(min(hws))
-    return _Collision(lo, y_lo, follower)
+    return _Collision(lo, y_lo, 1 + hws.index(min(hws)))
 
 
-def _apply_guard(eng: _Engine, guard_tol: float, t: float, y: list[float], f, phi):
-    """Clamp float-noise speed-box exits; raise _Guard on anything larger."""
+def _apply_guard(eng: _Engine, guard_tol: float | None, t: float, y: list[float], f,
+                 phi: list[float], signs: list[int]):
+    """Clamp float-noise speed-box exits and return (y, f, phi, signs); raise _Guard
+    on anything larger."""
     v_bar = eng.v_bar
+    vs = y[3::2]
+    if guard_tol is None or not vs or (min(vs) >= 0.0 and max(vs) <= v_bar):
+        return y, f, phi, signs
     clamped = False
     for i in range(1, eng.n):
         j = 2 * i + 1
@@ -433,8 +436,9 @@ def _apply_guard(eng: _Engine, guard_tol: float, t: float, y: list[float], f, ph
                 raise _Guard(t, y, i, v)
     if clamped:
         f = eng.deriv(t, y)
-        phi = list(eng.phi)
-    return y, f, phi
+        phi = eng.phi[:]
+        signs = _signs(phi)
+    return y, f, phi, signs
 
 
 def rhs(s: Scenario, t: float, state: PlatoonState) -> list[float]:
@@ -458,19 +462,14 @@ def step(cfg: StepperConfig, s: Scenario, t: float, state: PlatoonState
     """
     switch_tol = cfg.switch_tol if cfg.switch_tol is not None else 1e-9 * s.horizon
     eng = _Engine(s)
-    run = _RunState()
+    run = _RunState(switch_tol, cfg.guard_tol if s.model_kind is ModelKind.PROPOSED else None)
     y = [c for veh in state.vehicles for c in (veh.x, veh.v)]
     target = min(t + cfg.dt, s.horizon)
     if target <= t:
         raise ValueError(f"t={t!r} already at or past the horizon {s.horizon!r}")
-    guard = s.model_kind is ModelKind.PROPOSED
     try:
         f = eng.deriv(t, y)
-        phi = list(eng.phi)
-        t_new, y_new, f_new, phi_new = _advance(
-            eng, run, switch_tol, guard, cfg.guard_tol, t, y, f, phi, target)
-        if guard:
-            y_new, f_new, phi_new = _apply_guard(eng, cfg.guard_tol, t_new, y_new, f_new, phi_new)
+        y_new = _advance(eng, run, t, y, f, _signs(eng.phi), target)[0]
     except _Singular as e:
         raise ValueError(f"headway ahead of follower {e.args[0]} is not positive") from None
     except _Collision as c:
@@ -478,7 +477,7 @@ def step(cfg: StepperConfig, s: Scenario, t: float, state: PlatoonState
     except _Guard as g:
         raise GuardTrippedError(g.follower, g.velocity, g.t) from None
     vehicles = tuple(VehicleState(y_new[2 * i], y_new[2 * i + 1]) for i in range(eng.n))
-    return t_new, PlatoonState(vehicles, t=t_new)
+    return target, PlatoonState(vehicles, t=target)
 
 
 def time_grid(s: Scenario) -> list[float]:
@@ -522,33 +521,21 @@ def simulate(s: Scenario, *, validate: bool = True) -> SolveResult:
         if diags:
             raise ScenarioError(diags)
 
-    cfg = s.stepper
-    switch_tol = s.switch_tol
-    guard = s.model_kind is ModelKind.PROPOSED
     eng = _Engine(s)
-    run = _RunState()
+    run = _RunState(s.switch_tol, s.stepper.guard_tol if s.model_kind is ModelKind.PROPOSED else None)
     n = eng.n
     grid = time_grid(s)
     n_steps = len(grid) - 1
 
     times = np.empty(n_steps + 1)
-    positions = np.empty((n_steps + 1, n))
-    velocities = np.empty((n_steps + 1, n))
-    branches = np.zeros((n_steps + 1, n - 1), dtype=np.int8)
+    Y = np.empty((n_steps + 1, 2 * n))
+    P = np.empty((n_steps + 1, n - 1))
 
     y = [c for veh in s.initial.vehicles for c in (veh.x, veh.v)]
     t = 0.0
     f = eng.deriv(t, y)
-    phi = list(eng.phi)
-
-    def record(idx, t_rec, y_rec, phi_rec):
-        times[idx] = t_rec
-        positions[idx] = y_rec[0::2]
-        velocities[idx] = y_rec[1::2]
-        if eng.kind is not ModelKind.OVFL:
-            branches[idx] = [_branch_code(p) for p in phi_rec]
-
-    record(0, t, y, phi)
+    signs = _signs(eng.phi)
+    times[0], Y[0], P[0] = t, y, eng.phi
     status = SolveStatus.COMPLETED
     collision = None
     guard_violation = None
@@ -557,40 +544,46 @@ def simulate(s: Scenario, *, validate: bool = True) -> SolveResult:
     try:
         for i in range(1, n_steps + 1):
             target = grid[i]
-            t, y, f, phi = _advance(
-                eng, run, switch_tol, guard, cfg.guard_tol, t, y, f, phi, target)
-            if guard:
-                y, f, phi = _apply_guard(eng, cfg.guard_tol, t, y, f, phi)
-            record(rows, t, y, phi)
+            y, f, phi, signs = _advance(eng, run, t, y, f, signs, target)
+            t = target
+            times[rows] = t
+            Y[rows] = y
+            P[rows] = phi
             rows += 1
             steps_taken += 1
     except _Collision as c:
         status = SolveStatus.COLLISION_DETECTED
         collision = (c.t, c.follower)
         if c.t > t:
-            phi_c = list(eng.phi) if eng.kind is not ModelKind.OVFL else phi
+            phi_c = eng.phi[:]
             try:
                 eng.deriv(c.t, c.y)
-                phi_c = list(eng.phi)
+                phi_c = eng.phi
             except _Singular:
                 pass
-            record(rows, c.t, c.y, phi_c)
+            times[rows], Y[rows], P[rows] = c.t, c.y, phi_c
             rows += 1
     except _Guard as g:
         status = SolveStatus.GUARD_TRIPPED
         guard_violation = (g.follower, g.velocity)
         if g.t > t:
-            record(rows, g.t, g.y, list(eng.phi))
+            times[rows], Y[rows], P[rows] = g.t, g.y, eng.phi
             rows += 1
     except _Singular as e:
         # Initial state itself is infeasible; validation should have caught it.
         raise ValueError(f"headway ahead of follower {e.args[0]} is not positive") from None
 
+    if eng.kind is ModelKind.OVFL:
+        branches = np.zeros((rows, n - 1), dtype=np.int8)
+    else:
+        P = P[:rows]
+        branches = np.where(P > TIE_TOLERANCE, BranchFlag.CONTROL, np.where(
+            P < -TIE_TOLERANCE, BranchFlag.GAP, BranchFlag.TIE)).astype(np.int8)
     traj = Trajectory(
         times=times[:rows].copy(),
-        positions=positions[:rows].copy(),
-        velocities=velocities[:rows].copy(),
-        branches=branches[:rows].copy(),
+        positions=Y[:rows, 0::2],
+        velocities=Y[:rows, 1::2],
+        branches=branches,
         collision=collision,
     )
     stats = SolveStats(
@@ -598,6 +591,7 @@ def simulate(s: Scenario, *, validate: bool = True) -> SolveResult:
         switch_refinements=run.switch_refinements,
         switch_events=tuple(run.events),
         guard_violation=guard_violation,
+        event_cap_hits=run.event_cap_hits,
     )
     return SolveResult(traj, status, stats)
 

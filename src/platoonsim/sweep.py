@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import CaccParams, PlatoonState, Scenario, VehicleState
+from .core import CaccParams, ModelKind, PlatoonState, Scenario, VehicleState
 from .integrator import SolveStatus, simulate
 from .safety import headway_lower_bound
 from .scenario_io import SweepConfig
@@ -85,8 +85,9 @@ def _summarize(index: int, s: Scenario, cfg_axes: tuple[int, float, float],
     follower_v = traj.velocities[:, 1:]
     v_min = float(follower_v.min())
     v_max = float(follower_v.max())
+    # The certified floor is a theorem about the min-type law only.
     bound_margin = None
-    if res.status is SolveStatus.COMPLETED:
+    if res.status is SolveStatus.COMPLETED and s.model_kind is ModelKind.PROPOSED:
         margins = []
         for i in range(1, traj.n_vehicles):
             h = headways[:, i - 1]

@@ -25,6 +25,10 @@ __all__ = [
 ]
 
 
+# Rows converted to Python objects at a time by write_trajectory_csv.
+_ROWS_PER_CHUNK = 1000
+
+
 def fmt(x) -> str:
     return repr(float(x))
 
@@ -40,17 +44,19 @@ def trajectory_header(n: int) -> list[str]:
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     n = traj.n_vehicles
-    headways = traj.headways()
+    values = np.empty((traj.n_points, 3 * n))
+    values[:, 0] = traj.times
+    values[:, 1:2 * n + 1:2] = traj.positions
+    values[:, 2:2 * n + 1:2] = traj.velocities
+    values[:, 2 * n + 1:] = traj.headways()
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(trajectory_header(n))
-        for r in range(traj.n_points):
-            row = [fmt(traj.times[r])]
-            for i in range(n):
-                row += [fmt(traj.positions[r, i]), fmt(traj.velocities[r, i])]
-            row += [fmt(headways[r, i]) for i in range(n - 1)]
-            row += [str(int(traj.branches[r, i])) for i in range(n - 1)]
-            w.writerow(row)
+        fh.write(",".join(trajectory_header(n)) + "\n")
+        # tolist() yields Python floats, whose repr is fmt's, and no field needs
+        # CSV quoting; chunks bound the memory of the converted rows.
+        for r in range(0, traj.n_points, _ROWS_PER_CHUNK):
+            chunk = zip(values[r:r + _ROWS_PER_CHUNK].tolist(),
+                        traj.branches[r:r + _ROWS_PER_CHUNK].tolist())
+            fh.write("".join(",".join([*map(repr, xs), *map(str, bs)]) + "\n" for xs, bs in chunk))
 
 
 def read_trajectory_csv(path) -> Trajectory:

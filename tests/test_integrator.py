@@ -9,11 +9,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from platoonsim import (
     BranchFlag,
     ModelKind,
     PlatoonState,
+    accel_cacc,
+    accel_ovfl,
+    accel_proposed,
     SolveStatus,
     StepperConfig,
     VehicleState,
@@ -24,7 +29,11 @@ from platoonsim import (
     simulate,
     step,
 )
+from platoonsim import integrator
+from platoonsim.core import LeaderProfile, OvflParams
 from platoonsim.integrator import time_grid, trajectory_mismatches
+from platoonsim.profiles import PiecewiseProfile
+from platoonsim.scenario_io import parse_profile
 
 
 def test_rhs_leader_components(fig1_left_scenario):
@@ -236,3 +245,104 @@ def test_three_vehicle_platoon_runs():
     assert res.status is SolveStatus.COMPLETED
     drift = np.abs(np.asarray(tr.velocities) - 1.9).max()
     assert drift < 1e-10
+
+
+def _law_accel(s, x_l, x, v_l, v, a_l, u):
+    """(acceleration, flag or None) of one follower from the scalar laws in models."""
+    if s.model_kind is ModelKind.PROPOSED:
+        return accel_proposed(s.params, x_l, x, v_l, v, u)
+    if s.model_kind is ModelKind.CACC:
+        return accel_cacc(s.params, x_l, x, v_l, v, a_l, u)
+    base = s.base_params
+    return accel_ovfl(OvflParams(base.k_v, base.k_d), x_l, x, v_l, v), None
+
+
+@st.composite
+def _platoons(draw):
+    n = draw(st.integers(2, 8))
+    headways = draw(st.lists(st.floats(0.05, 20.0), min_size=n - 1, max_size=n - 1))
+    velocities = draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n))
+    xs = [sum(headways)]
+    for h in headways:
+        xs.append(xs[-1] - h)
+    return xs, velocities, draw(st.floats(0.0, 100.0))
+
+
+@pytest.mark.parametrize("preset", ["fig1_left", "fig1_left_cacc", "fig1_left_ovfl"])
+@given(platoon=_platoons())
+@settings(max_examples=60, deadline=None)
+def test_rhs_matches_the_scalar_laws(preset, platoon):
+    """rhs agrees bit for bit with models.accel_* for every follower, with a
+    time-varying leader and a different time-varying control per follower;
+    a CACC follower's a_l is its predecessor's acceleration."""
+    xs, vs, t = platoon
+    n = len(xs)
+    base = load_preset(preset).scenario
+    s = replace(
+        base,
+        initial=PlatoonState(tuple(VehicleState(x, v) for x, v in zip(xs, vs))),
+        leader=LeaderProfile(parse_profile("0 100 sin 0.0 0.2 0.3 0.5"), base.leader.v0),
+        controls=tuple(parse_profile(f"0 100 sin 1.0 {0.1 * i} 0.2 0.0") for i in range(1, n)))
+    a_prev = s.leader.accel.value(t)
+    expected = [vs[0], a_prev]
+    for i in range(1, n):
+        a_prev, _ = _law_accel(s, xs[i - 1], xs[i], vs[i - 1], vs[i], a_prev,
+                               s.controls[i - 1].value(t))
+        expected += [vs[i], a_prev]
+    assert rhs(s, t, s.initial) == expected
+
+
+def _flags_from_models(s, traj):
+    return [int(_law_accel(s, *traj.positions[r, :2].tolist(), *traj.velocities[r, :2].tolist(),
+                           s.leader.accel.value(t), s.controls[0].value(t))[1])
+            for r, t in enumerate(traj.times.tolist())]
+
+
+@pytest.mark.parametrize("preset", ["fig1_left", "fig3b_005", "fig1_left_cacc"])
+def test_recorded_branch_codes_match_the_scalar_laws(preset):
+    s = load_preset(preset).scenario
+    traj = simulate(s).trajectory
+    assert traj.branches[:, 0].tolist() == _flags_from_models(s, traj)
+
+
+def test_event_cap_hits_are_counted(fig1_left_scenario, fig1_left_result, monkeypatch):
+    assert fig1_left_result.stats.event_cap_hits == 0
+    monkeypatch.setattr(integrator, "_MAX_EVENTS_PER_STEP", 1)
+    res = simulate(fig1_left_scenario)
+    assert res.status is SolveStatus.COMPLETED
+    assert res.stats.event_cap_hits == 1
+    # The capped step keeps the accepted trial's own branch state.
+    assert res.trajectory.branches[:, 0].tolist() == _flags_from_models(
+        fig1_left_scenario, res.trajectory)
+
+
+def test_time_varying_leader_is_evaluated_once_per_stage_time(monkeypatch):
+    """k2 and k3 share t + h/2 and k4 shares the step's end with the accepted
+    point, so a switch-free run evaluates the profile twice per step."""
+    calls = []
+    value = PiecewiseProfile.value
+    monkeypatch.setattr(PiecewiseProfile, "value", lambda p, t: calls.append(t) or value(p, t))
+    res = simulate(load_preset("order_check").scenario, validate=False)
+    assert res.stats.switch_refinements == 0
+    assert len(calls) == 2 * res.stats.steps + 1
+
+
+@pytest.mark.parametrize("v, clamped", [(-5e-10, 0.0), (2.0 + 5e-10, 2.0), (1.0, 1.0)])
+def test_guard_clamps_float_noise_at_either_edge_of_the_box(fig1_left_scenario, v, clamped):
+    eng = integrator._Engine(fig1_left_scenario)
+    y = [5.0, 1.0, 0.0, v]
+    f = eng.deriv(0.0, y)
+    y, f, phi, signs = integrator._apply_guard(eng, 1e-9, 0.0, y, f, eng.phi[:], [7])
+    assert y[3] == clamped
+    assert f == eng.deriv(0.0, [5.0, 1.0, 0.0, clamped])
+    assert phi == eng.phi
+    # the signs are recomputed after a clamp and passed through otherwise
+    assert signs == ([1] if v != clamped else [7])
+
+
+@pytest.mark.parametrize("v", [-2e-9, 2.0 + 2e-9])
+def test_guard_trips_just_outside_the_noise_band(fig1_left_scenario, v):
+    eng = integrator._Engine(fig1_left_scenario)
+    y = [5.0, 1.0, 0.0, v]
+    with pytest.raises(integrator._Guard):
+        integrator._apply_guard(eng, 1e-9, 0.0, y, eng.deriv(0.0, y), eng.phi[:], [1])

@@ -142,3 +142,21 @@ def test_sweep_demo_preset_covers_requirement():
     cfg = load_preset("sweep_demo")
     assert cfg.sweep.size() >= 200
     assert set(cfg.sweep.n) == {2, 4, 8}
+
+
+@pytest.mark.parametrize("law", ["proposed", "cacc", "ovfl"])
+def test_bound_margin_only_for_the_min_type_law(law, tmp_path):
+    """The certified headway floor is a property of the min-type law; the
+    baselines get '-' in runs.csv rather than margins that read like
+    certificate violations."""
+    base = parse_config(SMALL.replace("model_kind = proposed", f"model_kind = {law}"))
+    cfg = SweepConfig(n=(2, 3), headways=(1.0, 5.0), velocities=(0.0,))
+    rows = run_sweep(base.scenario, cfg, workers=1)
+    path = tmp_path / "runs.csv"
+    write_sweep_csv(rows, [], path)
+    margins = [line.split(",")[8] for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+    assert len(margins) == 4
+    if law == "proposed":
+        assert all(float(m) >= -1e-6 for m in margins)
+    else:
+        assert margins == ["-"] * 4
