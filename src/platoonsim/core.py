@@ -292,18 +292,22 @@ def validate_scenario(s: Scenario, grid_points: int = VALIDATION_GRID_POINTS) ->
         out.append(Diagnostic(
             "controls", f"need one control per follower ({n - 1}), got {len(s.controls)}"))
     else:
+        # Sweeps give every follower one profile object: sample each object once.
+        range_errors: dict[int, str | None] = {}
         for i, u in enumerate(s.controls, start=1):
             if u.start > 0.0 or u.end < T:
                 out.append(Diagnostic(
                     f"controls.u_{i}",
                     f"profile covers [{u.start!r}, {u.end!r}], needs [0, {T!r}]"))
                 continue
-            vals = u.values(grid)
-            if (vals < base.u_min).any() or (vals > base.u_max).any():
-                j = int(np.argmax((vals < base.u_min) | (vals > base.u_max)))
-                out.append(Diagnostic(
-                    f"controls.u_{i}",
-                    f"value {vals[j]!r} outside [u_min, u_max] at t={grid[j]!r}"))
+            if id(u) not in range_errors:
+                vals = u.values(grid)
+                outside = (vals < base.u_min) | (vals > base.u_max)
+                j = int(np.argmax(outside))
+                range_errors[id(u)] = (f"value {vals[j]!r} outside [u_min, u_max] at t={grid[j]!r}"
+                                       if outside[j] else None)
+            if range_errors[id(u)] is not None:
+                out.append(Diagnostic(f"controls.u_{i}", range_errors[id(u)]))
 
     return out
 

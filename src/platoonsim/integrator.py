@@ -22,7 +22,9 @@ the box (CACC can brake through zero speed) is an observable result there.
 
 from __future__ import annotations
 
+import linecache
 import math
+import re
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -31,7 +33,6 @@ import numpy as np
 from .core import (
     CaccParams,
     ModelKind,
-    OvflParams,
     PlatoonState,
     Scenario,
     ScenarioError,
@@ -123,19 +124,129 @@ def _signs(phi: list[float]) -> list[int]:
 _FLAG_OF_SIGN = {1: BranchFlag.CONTROL, -1: BranchFlag.GAP}
 
 
+# Per-follower law bodies: the engine's single definition of each law. A body
+# reads the follower's stage state (x, v), its predecessor's (xp, vp), its
+# control u and, under CACC, the predecessor's acceleration ap. It sets the
+# headway hh and the acceleration a, and a min-type body also sets the two
+# operands of the min, g (gap or spacing term) and c (control term). The float
+# operations are those of models.accel_*, in the same order.
+_LAWS = {
+    ModelKind.PROPOSED: """\
+hh = xp - x
+if hh <= 0.0: raise _Singular(i)
+g = kv * (vp - v) / (hh * hh) + kd * (hh - ts * v)
+c = kk * (u - v)
+a = g if g < c else c
+""",
+    ModelKind.CACC: """\
+hh = xp - x
+gam = ts * v
+q = gdd * v * v
+if q > gam:
+    gam = q
+if gam < 2.0:
+    gam = 2.0
+g = ka * ap + kv * (vp - v) + kd * (hh - gam)
+c = kk * (u - v)
+a = g if g < c else c
+""",
+    ModelKind.OVFL: """\
+hh = xp - x
+if hh <= 0.0: raise _Singular(i)
+a = kv * (vp - v) / (hh * hh) + kd * (tanh(hh - 2.0) + TANH2 - v)
+""",
+}
+
+
+def _uses(body: str, name: str) -> bool:
+    return re.search(rf"\b{name}\b", body) is not None
+
+
+def _platoon_pass(body: str, state, store, track: bool) -> list[str]:
+    """Source lines of one pass over the platoon.
+
+    state(idx) is the expression of state component idx at this stage and
+    store(idx, value) the line that keeps derivative component idx. track adds
+    deriv's minimum-headway and branch-gap bookkeeping.
+    """
+    chained = _uses(body, "ap")
+    lines = [f"xp = {state('0')}", f"vp = {state('1')}", store("0", "vp"), store("1", "a_l")]
+    lines += ["ap = a_l"] * chained + ["j = 2", "for i in range(1, n):"]
+    loop = [f"x = {state('j')}", f"v = {state('j + 1')}"]
+    loop += ["u = us[i - 1]"] * _uses(body, "u") + body.splitlines()
+    if track:
+        loop += ["if hh < minh:", "    minh = hh", "    mi = i"]
+        loop += ["phi[i - 1] = g - c"] * _uses(body, "g")
+    loop += [store("j", "v"), store("j + 1", "a"), "xp = x", "vp = v"]
+    loop += ["ap = a"] * chained + ["j += 2"]
+    return lines + ["    " + line for line in loop]
+
+
+def _kernel_source(body: str) -> str:
+    """deriv(t, y) and the fused rk4(t, y, h, k1) of one law body.
+
+    rk4 forms each stage state in the follower loop that evaluates the law,
+    and its last stage folds in the RK4 combine, so a step makes no stage
+    lists beyond k2 and k3. The stages write neither phi nor minh.
+    """
+    def stage(k, s):
+        return lambda idx: f"y[{idx}] + {s} * {k}[{idx}]"
+
+    def into(k):
+        return lambda idx, value: f"{k}[{idx}] = {value}"
+
+    def combine(idx, value):
+        return (f"out[{idx}] = y[{idx}] + h * (k1[{idx}] + 2.0 * (k2[{idx}] + k3[{idx}])"
+                f" + {value}) / 6.0")
+
+    deriv = ["out = [0.0] * size", "a_l, us = forcing(t)", "minh = inf", "mi = 1",
+             *_platoon_pass(body, lambda idx: f"y[{idx}]", into("out"), True),
+             "eng.minh = minh", "eng.minh_idx = mi", "return out"]
+    rk4 = ["half = 0.5 * h", "a_l, us = forcing(t + half)",
+           "k2 = [0.0] * size", *_platoon_pass(body, stage("k1", "half"), into("k2"), False),
+           "k3 = [0.0] * size", *_platoon_pass(body, stage("k2", "half"), into("k3"), False),
+           "a_l, us = forcing(t + h)",
+           "out = [0.0] * size", *_platoon_pass(body, stage("k3", "h"), combine, False),
+           "return out"]
+    return "".join(f"def {sig}:\n" + "".join(f"    {line}\n" for line in lines)
+                   for sig, lines in (("deriv(t, y)", deriv), ("rk4(t, y, h, k1)", rk4)))
+
+
+# Compiled kernels by law, built on first use so that importing the package
+# compiles nothing. The code does not depend on n or on the gains, which each
+# engine binds as names of the namespace it runs the code in.
+_KERNELS: dict[ModelKind, tuple] = {}
+
+
+def _kernel(kind: ModelKind):
+    """The law's compiled kernel code. Its source is put back into linecache
+    on every call, so tracebacks, pdb and profilers show kernel lines even
+    after linecache.clearcache()."""
+    if kind not in _KERNELS:
+        filename = f"<platoonsim kernels: {kind.value}>"
+        src = _kernel_source(_LAWS[kind])
+        _KERNELS[kind] = (compile(src, filename, "exec"),
+                          (len(src), None, src.splitlines(True), filename))
+    code, entry = _KERNELS[kind]
+    linecache.cache[entry[3]] = entry
+    return code
+
+
 class _Engine:
     """Hot-path evaluation of the platoon right-hand side.
 
-    State layout is a flat list [x_0, v_0, x_1, v_1, ...]. Each deriv call
-    stashes the per-follower branch gap (min-law operand difference), the
-    minimum headway, and its follower index, so event checks at accepted
-    points cost nothing extra.
+    State layout is a flat list [x_0, v_0, x_1, v_1, ...]. deriv and rk4 are
+    the law's generated kernel functions. Each deriv call stashes the
+    per-follower branch gap (min-law operand difference), the minimum headway,
+    and its follower index, so event checks at accepted points cost nothing
+    extra.
     """
 
     def __init__(self, s: Scenario):
         self.n = s.initial.n
         self.size = 2 * self.n
-        self.kind = s.model_kind
+        body = _LAWS[s.model_kind]
+        self.branches = _uses(body, "g")
         base = s.base_params
         self.v_bar = base.v_bar
         self.phi: list[float] = [0.0] * (self.n - 1)
@@ -143,29 +254,33 @@ class _Engine:
         self.minh_idx = 1
         self._al_profile = s.leader.accel
         self._al_const = s.leader.accel.is_constant()
-        self._u_profiles = s.controls
-        self._u_consts = [u.is_constant() for u in s.controls]
+        self._u_profiles = s.controls if _uses(body, "u") else ()
+        self._u_consts = [u.is_constant() for u in self._u_profiles]
         if self._al_const is not None and None not in self._u_consts:
             fixed = (self._al_const, self._u_consts)
             self.forcing = lambda t: fixed
         else:
             self._forcing_t = None
             self.forcing = self._forcing_memo
-        if s.model_kind is ModelKind.PROPOSED:
-            self.deriv = self._make_proposed(base)
-        elif s.model_kind is ModelKind.CACC:
+        ns = {"kv": base.k_v, "kd": base.k_d, "kk": base.k, "ts": base.tau_s,
+              "n": self.n, "size": self.size, "forcing": self.forcing, "phi": self.phi,
+              "eng": self, "inf": math.inf, "tanh": math.tanh, "TANH2": TANH2,
+              "_Singular": _Singular}
+        if s.model_kind is ModelKind.CACC:
             if not isinstance(s.params, CaccParams):
                 raise ScenarioError([])
-            self.deriv = self._make_cacc(s.params)
-        else:
-            self.deriv = self._make_ovfl(OvflParams(base.k_v, base.k_d))
+            ns.update(ka=s.params.k_a, gdd=1.0 / s.params.d - 1.0 / s.params.d_l)
+        exec(_kernel(s.model_kind), ns)
+        self.deriv = ns["deriv"]
+        self.rk4 = ns["rk4"]
 
     def _forcing_memo(self, t: float) -> tuple[float, list[float]]:
         """Leader acceleration and follower controls at t, for time-varying profiles.
 
         A one-entry memo on t: RK4's k2 and k3 share t + h/2, and k4 and the
         accepted point usually share the step's end, so each profile is
-        evaluated once per distinct stage time.
+        evaluated once per distinct stage time. Controls are left out for a
+        law that does not read them.
         """
         if t != self._forcing_t:
             c = self._al_const
@@ -175,127 +290,6 @@ class _Engine:
             self._forcing_t = t
             self._forcing_at = (a_l, us)
         return self._forcing_at
-
-    def _make_proposed(self, p):
-        kv, kd, kk, ts = p.k_v, p.k_d, p.k, p.tau_s
-        n, size = self.n, self.size
-        forcing = self.forcing
-        phi = self.phi
-
-        def deriv(t, y):
-            out = [0.0] * size
-            out[0] = y[1]
-            out[1], us = forcing(t)
-            minh = math.inf
-            mi = 1
-            j = 2
-            for i in range(1, n):
-                x = y[j]
-                v = y[j + 1]
-                h = y[j - 2] - x
-                if h <= 0.0:
-                    raise _Singular(i)
-                if h < minh:
-                    minh = h
-                    mi = i
-                gap_term = kv * (y[j - 1] - v) / (h * h) + kd * (h - ts * v)
-                control_term = kk * (us[i - 1] - v)
-                phi[i - 1] = gap_term - control_term
-                out[j] = v
-                out[j + 1] = gap_term if gap_term < control_term else control_term
-                j += 2
-            self.minh = minh
-            self.minh_idx = mi
-            return out
-
-        return deriv
-
-    def _make_cacc(self, c: CaccParams):
-        base = c.base
-        kv, kd, kk, ts = base.k_v, base.k_d, base.k, base.tau_s
-        ka = c.k_a
-        gdd = 1.0 / c.d - 1.0 / c.d_l
-        n, size = self.n, self.size
-        forcing = self.forcing
-        phi = self.phi
-
-        def deriv(t, y):
-            out = [0.0] * size
-            out[0] = y[1]
-            a_prev, us = forcing(t)
-            out[1] = a_prev
-            minh = math.inf
-            mi = 1
-            j = 2
-            for i in range(1, n):
-                x = y[j]
-                v = y[j + 1]
-                h = y[j - 2] - x
-                if h < minh:
-                    minh = h
-                    mi = i
-                gam = ts * v
-                q = gdd * v * v
-                if q > gam:
-                    gam = q
-                if gam < 2.0:
-                    gam = 2.0
-                spacing_term = ka * a_prev + kv * (y[j - 1] - v) + kd * (h - gam)
-                control_term = kk * (us[i - 1] - v)
-                phi[i - 1] = spacing_term - control_term
-                a = spacing_term if spacing_term < control_term else control_term
-                out[j] = v
-                out[j + 1] = a
-                a_prev = a
-                j += 2
-            self.minh = minh
-            self.minh_idx = mi
-            return out
-
-        return deriv
-
-    def _make_ovfl(self, p: OvflParams):
-        kv, kd = p.k_v, p.k_d
-        n, size = self.n, self.size
-        tanh = math.tanh
-        forcing = self.forcing
-
-        def deriv(t, y):
-            out = [0.0] * size
-            out[0] = y[1]
-            out[1] = forcing(t)[0]
-            minh = math.inf
-            mi = 1
-            j = 2
-            for i in range(1, n):
-                x = y[j]
-                v = y[j + 1]
-                h = y[j - 2] - x
-                if h <= 0.0:
-                    raise _Singular(i)
-                if h < minh:
-                    minh = h
-                    mi = i
-                out[j] = v
-                out[j + 1] = kv * (y[j - 1] - v) / (h * h) + kd * (tanh(h - 2.0) + TANH2 - v)
-                j += 2
-            self.minh = minh
-            self.minh_idx = mi
-            return out
-
-        return deriv
-
-    def rk4(self, t, y, h, k1):
-        deriv = self.deriv
-        half = 0.5 * h
-        y2 = [yi + half * ki for yi, ki in zip(y, k1)]
-        k2 = deriv(t + half, y2)
-        y3 = [yi + half * ki for yi, ki in zip(y, k2)]
-        k3 = deriv(t + half, y3)
-        y4 = [yi + h * ki for yi, ki in zip(y, k3)]
-        k4 = deriv(t + h, y4)
-        return [yi + h * (a + 2.0 * (b + c) + d) / 6.0
-                for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
 
 
 class _RunState:
@@ -348,8 +342,11 @@ def _advance(eng: _Engine, run: _RunState, t: float, y: list[float], f,
             crossed = True
         if crossed:
             raise _bisect_collision(eng, run.switch_tol, t, y, f, target)
-        phi_trial = eng.phi[:]
-        signs_trial = _signs(phi_trial)
+        if eng.branches:
+            phi_trial = eng.phi[:]
+            signs_trial = _signs(phi_trial)
+        else:
+            phi_trial, signs_trial = eng.phi, signs
         if signs_trial == signs or -1 not in [a * b for a, b in zip(signs, signs_trial)]:
             return _apply_guard(eng, run.guard_tol, target, y_trial, f_trial, phi_trial, signs_trial)
 
@@ -573,7 +570,7 @@ def simulate(s: Scenario, *, validate: bool = True) -> SolveResult:
         # Initial state itself is infeasible; validation should have caught it.
         raise ValueError(f"headway ahead of follower {e.args[0]} is not positive") from None
 
-    if eng.kind is ModelKind.OVFL:
+    if not eng.branches:
         branches = np.zeros((rows, n - 1), dtype=np.int8)
     else:
         P = P[:rows]

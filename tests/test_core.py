@@ -71,6 +71,23 @@ class TestValidateScenario:
         diags = validate_scenario(s)
         assert any(d.field.startswith("controls") for d in diags)
 
+    def test_broadcast_out_of_range_control_reports_every_follower(
+            self, reference_params, monkeypatch):
+        """A sweep shares one control object among all followers: it is sampled
+        once and still reported once per follower, like distinct copies."""
+        calls = []
+        values = PiecewiseProfile.values
+        monkeypatch.setattr(PiecewiseProfile, "values", lambda p, ts: calls.append(p) or values(p, ts))
+        s = replace(two_car_scenario(reference_params),
+                    initial=PlatoonState(tuple(VehicleState(15.0 - 5.0 * i, 1.0) for i in range(4))))
+        shared = constant_profile(0.05, 0.0, 100.0)  # below u_min = 0.1
+        diags = validate_scenario(replace(s, controls=(shared,) * 3))
+        assert len(calls) == 1
+        copies = tuple(constant_profile(0.05, 0.0, 100.0) for _ in range(3))
+        assert diags == validate_scenario(replace(s, controls=copies))
+        assert [d.field for d in diags] == ["controls.u_1", "controls.u_2", "controls.u_3"]
+        assert len({d.message for d in diags}) == 1 and "outside [u_min, u_max]" in diags[0].message
+
     def test_single_vehicle_rejected(self, reference_params):
         s = two_car_scenario(reference_params)
         s = replace(s, initial=PlatoonState((VehicleState(0.0, 1.0),)), controls=())

@@ -5,6 +5,7 @@ Golden numbers in this file were produced by the fine-step reference solver
 (reference_solve) at build time and are frozen so the tests stay fast.
 """
 
+import traceback
 from dataclasses import replace
 
 import numpy as np
@@ -258,14 +259,25 @@ def _law_accel(s, x_l, x, v_l, v, a_l, u):
 
 
 @st.composite
-def _platoons(draw):
+def _platoons(draw, min_headway=0.05):
     n = draw(st.integers(2, 8))
-    headways = draw(st.lists(st.floats(0.05, 20.0), min_size=n - 1, max_size=n - 1))
+    headways = draw(st.lists(st.floats(min_headway, 20.0), min_size=n - 1, max_size=n - 1))
     velocities = draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n))
     xs = [sum(headways)]
     for h in headways:
         xs.append(xs[-1] - h)
     return xs, velocities, draw(st.floats(0.0, 100.0))
+
+
+def _varying_scenario(preset, xs, vs):
+    """preset's scenario with the platoon (xs, vs), a time-varying leader and a
+    different time-varying control per follower."""
+    base = load_preset(preset).scenario
+    return replace(
+        base,
+        initial=PlatoonState(tuple(VehicleState(x, v) for x, v in zip(xs, vs))),
+        leader=LeaderProfile(parse_profile("0 100 sin 0.0 0.2 0.3 0.5"), base.leader.v0),
+        controls=tuple(parse_profile(f"0 100 sin 1.0 {0.1 * i} 0.2 0.0") for i in range(1, len(xs))))
 
 
 @pytest.mark.parametrize("preset", ["fig1_left", "fig1_left_cacc", "fig1_left_ovfl"])
@@ -277,12 +289,7 @@ def test_rhs_matches_the_scalar_laws(preset, platoon):
     a CACC follower's a_l is its predecessor's acceleration."""
     xs, vs, t = platoon
     n = len(xs)
-    base = load_preset(preset).scenario
-    s = replace(
-        base,
-        initial=PlatoonState(tuple(VehicleState(x, v) for x, v in zip(xs, vs))),
-        leader=LeaderProfile(parse_profile("0 100 sin 0.0 0.2 0.3 0.5"), base.leader.v0),
-        controls=tuple(parse_profile(f"0 100 sin 1.0 {0.1 * i} 0.2 0.0") for i in range(1, n)))
+    s = _varying_scenario(preset, xs, vs)
     a_prev = s.leader.accel.value(t)
     expected = [vs[0], a_prev]
     for i in range(1, n):
@@ -346,3 +353,89 @@ def test_guard_trips_just_outside_the_noise_band(fig1_left_scenario, v):
     y = [5.0, 1.0, 0.0, v]
     with pytest.raises(integrator._Guard):
         integrator._apply_guard(eng, 1e-9, 0.0, y, eng.deriv(0.0, y), eng.phi[:], [1])
+
+
+def test_ovfl_engine_evaluates_only_the_leader_profile(monkeypatch):
+    """OVFL reads no controls, so time-varying controls are never sampled."""
+    calls = []
+    value = PiecewiseProfile.value
+    monkeypatch.setattr(PiecewiseProfile, "value", lambda p, t: calls.append(t) or value(p, t))
+    s = load_preset("order_check").scenario
+    s = replace(s, controls=(parse_profile("0 10 sin 1.0 0.1 0.2 0.0"),))
+    res = simulate(s, validate=False)
+    assert res.stats.switch_refinements == 0
+    assert len(calls) == 2 * res.stats.steps + 1
+
+
+def _textbook_rk4(deriv, t, y, h, k1):
+    """Classical RK4 built from deriv, with one list per stage state."""
+    half = 0.5 * h
+    k2 = deriv(t + half, [yi + half * ki for yi, ki in zip(y, k1)])
+    k3 = deriv(t + half, [yi + half * ki for yi, ki in zip(y, k2)])
+    k4 = deriv(t + h, [yi + h * ki for yi, ki in zip(y, k3)])
+    return [yi + h * (a + 2.0 * (b + c) + d) / 6.0 for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
+
+
+def _outcome(rk4, *args):
+    """The bits of an RK4 step, or the follower of the _Singular it raised."""
+    try:
+        return [v.hex() for v in rk4(*args)]
+    except integrator._Singular as e:
+        return ("singular", e.args)
+
+
+@pytest.mark.parametrize("preset", ["fig1_left", "fig1_left_cacc", "fig1_left_ovfl"])
+@given(platoon=_platoons(min_headway=1e-4), h_frac=st.floats(1e-9, 1.0))
+@settings(max_examples=100, deadline=None)
+def test_fused_rk4_matches_a_textbook_rk4(preset, platoon, h_frac):
+    """The generated rk4 equals a textbook RK4 over deriv bit for bit, with a
+    time-varying leader and controls, and raises _Singular for the same
+    follower exactly when a textbook stage does."""
+    xs, vs, t = platoon
+    s = _varying_scenario(preset, xs, vs)
+    eng = integrator._Engine(s)
+    y = [c for xv in zip(xs, vs) for c in xv]
+    k1 = eng.deriv(t, y)
+    h = h_frac * s.stepper.dt
+    assert _outcome(eng.rk4, t, y, h, k1) == _outcome(_textbook_rk4, eng.deriv, t, y, h, k1)
+
+
+@pytest.mark.parametrize("preset, d, v_l, v, h_frac, stage", [
+    ("fig1_left", 1e-4, 0.0, 0.5, 0.05, 2),
+    ("fig1_left", 1e-4, 0.0, 0.5, 0.025, 4),
+    ("fig1_left_ovfl", 1e-3, 0.0, 1.0, 0.2, 2),
+    ("fig1_left_ovfl", 1e-3, 1.0, 0.0, 0.05, 3),
+    ("fig1_left_ovfl", 1e-3, 0.0, 1.0, 0.05, 4),
+])
+def test_fused_rk4_raises_in_the_stage_a_textbook_rk4_raises(preset, d, v_l, v, h_frac, stage):
+    """A pair d apart whose given RK4 stage state has crossed: the generated
+    rk4 raises _Singular like the textbook stage, and the traceback shows the
+    law template's line from the registered kernel source."""
+    s = replace(load_preset(preset).scenario,
+                initial=PlatoonState((VehicleState(d, v_l), VehicleState(0.0, v))))
+    eng = integrator._Engine(s)
+    y = [d, v_l, 0.0, v]
+    k1 = eng.deriv(0.0, y)
+    h = h_frac * s.stepper.dt
+    stages = []
+    with pytest.raises(integrator._Singular) as ref:
+        _textbook_rk4(lambda t, y: stages.append(t) or eng.deriv(t, y), 0.0, y, h, k1)
+    assert len(stages) + 1 == stage
+    with pytest.raises(integrator._Singular) as got:
+        eng.rk4(0.0, y, h, k1)
+    assert got.value.args == ref.value.args == (1,)
+    shown = "".join(traceback.format_exception(got.value))
+    assert f'File "<platoonsim kernels: {s.model_kind.value}>"' in shown
+    assert "if hh <= 0.0: raise _Singular(i)" in shown
+
+
+@pytest.mark.parametrize("preset", ["fig1_left", "fig1_left_cacc", "fig1_left_ovfl"])
+def test_one_kernel_code_object_per_law_at_any_platoon_size(preset):
+    base = load_preset(preset).scenario
+    engines = [integrator._Engine(replace(
+        base,
+        initial=PlatoonState(tuple(VehicleState(2.0 * (n - 1 - i), 1.0) for i in range(n))),
+        controls=base.controls[:1] * (n - 1))) for n in (2, 64, 512)]
+    for name in ("deriv", "rk4"):
+        code = getattr(engines[0], name).__code__
+        assert all(getattr(e, name).__code__ is code for e in engines)
