@@ -25,25 +25,16 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .core import CaccParams, ModelKind, Scenario, ScenarioError, validate_scenario
 from .integrator import SolveResult, SolveStatus, simulate, trajectory_mismatches
-from .perturbation import (
-    ConvergenceRow,
-    ConvergenceTable,
-    PerturbationSpec,
-    max_perturbation_scale,
-    pair_signals,
-    perturbed_simulate,
-)
-from .presets import PRESET_NAMES, preset_text
+from .perturbation import convergence_study, max_perturbation_scale
+from .presets import PRESET_NAMES, load_preset
 from .safety import build_envelope, certify_trajectory
 from .scenario_io import (
     ConfigError,
     ParsedConfig,
-    parse_config,
+    load_config,
     profile_segments_dict,
     scenario_to_manifest,
 )
@@ -108,14 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> ParsedConfig:
-    if args.preset is not None:
-        text = preset_text(args.preset)
-    else:
-        try:
-            text = Path(args.config).read_text(encoding="utf-8")
-        except OSError as e:
-            raise ConfigError(f"cannot read config {args.config}: {e}") from None
-    parsed = parse_config(text)
+    parsed = load_preset(args.preset) if args.preset is not None else load_config(args.config)
     if args.dt is not None:
         if not args.dt > 0.0:
             raise ConfigError(f"--dt must be positive, got {args.dt!r}")
@@ -298,35 +282,24 @@ def cmd_perturb(args) -> int:
     g = pert.resolved_g(s.horizon)
     eps0 = max_perturbation_scale(g, s.leader, s.base_params.v_bar, s.horizon)
     out = _out_dir(args)
-
-    base = simulate(s)
+    table = convergence_study(s, g, pert.eps, strict=strict)
+    base, last = table.runs[0], table.runs[-1]
     if base.status is not SolveStatus.COMPLETED:
         _report_result(base)
         return _STATUS_EXIT[base.status]
-    t_base, xi_base, zeta_base = pair_signals(base.trajectory)
-
     eps_values = sorted({float(e) for e in pert.eps}, reverse=True)
     outputs = ["convergence.csv", "manifest.json"]
-    rows = []
-    bad_status = None
-    for eps in eps_values:
-        res = perturbed_simulate(s, PerturbationSpec(g, eps), strict=strict)
+    for eps, res in zip(eps_values, table.runs[1:]):
         name = f"trajectory_eps_{fmt(eps)}.csv"
         write_trajectory_csv(res.trajectory, out / name)
         outputs.append(name)
-        if res.status is not SolveStatus.COMPLETED:
-            _report_result(res)
-            bad_status = res.status
-            break
-        _, xi, zeta = pair_signals(res.trajectory)
-        rows.append(ConvergenceRow(eps, float(np.hypot(xi - xi_base, zeta - zeta_base).max())))
-    table = ConvergenceTable(tuple(rows))
     write_convergence_csv(table, out / "convergence.csv")
     _write_manifest(out, "perturb", s, outputs,
                     {"eps": eps_values, "eps_admissible_max": eps0, "strict": strict,
                      "g": profile_segments_dict(g)})
-    if bad_status is not None:
-        return _STATUS_EXIT[bad_status]
+    if last.status is not SolveStatus.COMPLETED:
+        _report_result(last)
+        return _STATUS_EXIT[last.status]
     for row in table.rows:
         print(f"eps={fmt(row.eps)}: sup distance {fmt(row.sup_distance)}")
     tail = [r.sup_distance for r in table.rows[-3:]]

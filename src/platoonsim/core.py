@@ -281,12 +281,14 @@ def validate_scenario(s: Scenario, grid_points: int = VALIDATION_GRID_POINTS) ->
             j = int(np.argmax(too_fast))
             out.append(Diagnostic(
                 "leader",
-                f"leader velocity {v_l[j]!r} exceeds v_bar={base.v_bar!r} at t={grid[j]!r}"))
+                f"leader velocity {float(v_l[j])!r} exceeds v_bar={base.v_bar!r} "
+                f"at t={float(grid[j])!r}"))
         backward = v_l < 0.0
         if backward.any():
             j = int(np.argmax(backward))
             out.append(Diagnostic(
-                "leader", f"leader velocity {v_l[j]!r} negative at t={grid[j]!r}"))
+                "leader",
+                f"leader velocity {float(v_l[j])!r} negative at t={float(grid[j])!r}"))
 
     if len(s.controls) != max(n - 1, 0):
         out.append(Diagnostic(
@@ -304,8 +306,8 @@ def validate_scenario(s: Scenario, grid_points: int = VALIDATION_GRID_POINTS) ->
                 vals = u.values(grid)
                 outside = (vals < base.u_min) | (vals > base.u_max)
                 j = int(np.argmax(outside))
-                range_errors[id(u)] = (f"value {vals[j]!r} outside [u_min, u_max] at t={grid[j]!r}"
-                                       if outside[j] else None)
+                range_errors[id(u)] = (f"value {float(vals[j])!r} outside [u_min, u_max] "
+                                       f"at t={float(grid[j])!r}" if outside[j] else None)
             if range_errors[id(u)] is not None:
                 out.append(Diagnostic(f"controls.u_{i}", range_errors[id(u)]))
 

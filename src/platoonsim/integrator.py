@@ -457,9 +457,9 @@ def step(cfg: StepperConfig, s: Scenario, t: float, state: PlatoonState
     Raises GuardTrippedError when a min-law follower velocity leaves
     [0, v_bar] by more than guard_tol, CollisionError when a headway closes.
     """
-    switch_tol = cfg.switch_tol if cfg.switch_tol is not None else 1e-9 * s.horizon
     eng = _Engine(s)
-    run = _RunState(switch_tol, cfg.guard_tol if s.model_kind is ModelKind.PROPOSED else None)
+    run = _RunState(replace(s, stepper=cfg).switch_tol,
+                    cfg.guard_tol if s.model_kind is ModelKind.PROPOSED else None)
     y = [c for veh in state.vehicles for c in (veh.x, veh.v)]
     target = min(t + cfg.dt, s.horizon)
     if target <= t:

@@ -15,12 +15,12 @@ grid in the sup norm of the pointwise Euclidean pair distance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .core import LeaderProfile, Scenario, Trajectory
-from .integrator import SolveResult, simulate
+from .integrator import SolveResult, SolveStatus, simulate
 from .profiles import PiecewiseProfile
 
 __all__ = [
@@ -55,9 +55,15 @@ class ConvergenceRow:
 
 @dataclass(frozen=True)
 class ConvergenceTable:
-    """Rows of (eps, sup pair distance), sorted by eps descending."""
+    """Rows of (eps, sup pair distance), sorted by eps descending.
+
+    runs holds the runs behind the rows: the unperturbed base run, then
+    one run per row. A study that stopped at a run that did not complete
+    has that run last, with no row of its own.
+    """
 
     rows: tuple[ConvergenceRow, ...]
+    runs: tuple[SolveResult, ...] = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
         eps = [r.eps for r in self.rows]
@@ -133,25 +139,25 @@ def convergence_study(s: Scenario, g: PiecewiseProfile, eps_list,
     """Sup pair distance to the unperturbed run for each scale in eps_list.
 
     All runs share the scenario's step sequence, so signals are compared at
-    matched grid times with no interpolation. Truncated runs (collision,
-    guard) make the comparison grids differ and are propagated as errors.
+    matched grid times with no interpolation. eps = 0 reuses the base run.
+    The study stops at the first run that does not complete (collision,
+    guard), whether the base run or a perturbed one: that run ends
+    table.runs and gets no row, so every row compares two full grids.
     """
     eps_values = sorted({float(e) for e in eps_list}, reverse=True)
     if not eps_values:
         raise ValueError("eps_list must be non-empty")
     base = simulate(s)
-    t_base, xi_base, zeta_base = pair_signals(base.trajectory, follower)
-    rows = []
-    for eps in eps_values:
-        if eps == 0.0:
-            rows.append(ConvergenceRow(0.0, 0.0))
-            continue
-        res = perturbed_simulate(s, PerturbationSpec(g, eps), strict=strict)
-        t_eps, xi, zeta = pair_signals(res.trajectory, follower)
-        if len(t_eps) != len(t_base):
-            raise ValueError(
-                f"perturbed run at eps={eps!r} stopped early "
-                f"({len(t_eps)} vs {len(t_base)} grid points); distances need matched grids")
-        d = np.hypot(xi - xi_base, zeta - zeta_base)
-        rows.append(ConvergenceRow(eps, float(d.max())))
-    return ConvergenceTable(tuple(rows))
+    runs, rows = [base], []
+    if base.status is SolveStatus.COMPLETED:
+        _, xi_base, zeta_base = pair_signals(base.trajectory, follower)
+        for eps in eps_values:
+            res = base if eps == 0.0 else perturbed_simulate(
+                s, PerturbationSpec(g, eps), strict=strict)
+            runs.append(res)
+            if res.status is not SolveStatus.COMPLETED:
+                break
+            _, xi, zeta = pair_signals(res.trajectory, follower)
+            d = np.hypot(xi - xi_base, zeta - zeta_base)
+            rows.append(ConvergenceRow(eps, float(d.max())))
+    return ConvergenceTable(tuple(rows), tuple(runs))

@@ -18,11 +18,9 @@ import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .core import CaccParams, ModelKind, PlatoonState, Scenario, VehicleState
 from .integrator import SolveStatus, simulate
-from .safety import headway_lower_bound
+from .safety import build_envelope
 from .scenario_io import SweepConfig
 from .trajectory_io import fmt
 
@@ -88,14 +86,9 @@ def _summarize(index: int, s: Scenario, cfg_axes: tuple[int, float, float],
     # The certified floor is a theorem about the min-type law only.
     bound_margin = None
     if res.status is SolveStatus.COMPLETED and s.model_kind is ModelKind.PROPOSED:
-        margins = []
-        for i in range(1, traj.n_vehicles):
-            h = headways[:, i - 1]
-            H = float(np.trapezoid(h, traj.times))
-            lower = headway_lower_bound(
-                s.base_params, float(h[0]), float(traj.velocities[0, i]), H)
-            margins.append(float(h.min()) - lower)
-        bound_margin = min(margins)
+        bound_margin = min(
+            float(headways[:, i - 1].min()) - build_envelope(s, traj, i).underline_h
+            for i in range(1, traj.n_vehicles))
     collision_time = traj.collision[0] if traj.collision else None
     return RunSummary(
         index=index, n=n, headway0=h0, v0=v0, overrides=overrides,

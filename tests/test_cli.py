@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from platoonsim import BranchFlag
+from platoonsim import BranchFlag, preset_text
 from platoonsim.cli import main
 
 SWEEP_CFG = """\
@@ -223,6 +223,28 @@ class TestPerturb:
                    "--strict-eps", "true")
         assert code == 3
         assert "admissible scale" in capsys.readouterr().err
+
+    def test_stopped_run_ends_the_study(self, tmp_path, capsys, fig5_guard_trip_text):
+        cfg = tmp_path / "trip.ini"
+        cfg.write_text(fig5_guard_trip_text, encoding="utf-8")
+        out = tmp_path / "o"
+        code = run("perturb", "--config", str(cfg), "--out", str(out))
+        assert code == 4
+        assert "guard tripped: follower 1" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == [
+            "convergence.csv", "manifest.json", "trajectory_eps_1000.0.csv"]
+        assert (out / "convergence.csv").read_text() == "eps,sup_distance\n"
+
+    def test_zero_eps_writes_the_unperturbed_run(self, tmp_path, capsys):
+        cfg = tmp_path / "zero.ini"
+        cfg.write_text(preset_text("fig5").replace("eps = 1, 0.5, 0.1, 0.05, 0.01", "eps = 0.5, 0"),
+                       encoding="utf-8")
+        assert run("perturb", "--config", str(cfg), "--out", str(tmp_path / "p")) == 0
+        assert run("simulate", "--config", str(cfg), "--out", str(tmp_path / "s")) == 0
+        lines = (tmp_path / "p" / "convergence.csv").read_text().splitlines()
+        assert lines[-1] == "0.0,0.0"
+        assert ((tmp_path / "p" / "trajectory_eps_0.0.csv").read_bytes()
+                == (tmp_path / "s" / "trajectory.csv").read_bytes())
 
     def test_config_without_perturbation_section(self, tmp_path, capsys):
         code = run("perturb", "--preset", "fig4", "--out", str(tmp_path))

@@ -18,6 +18,7 @@ from platoonsim import (
     leader_velocity,
     validate_scenario,
 )
+from platoonsim import integrator
 from platoonsim.profiles import PiecewiseProfile, Segment
 
 
@@ -51,12 +52,17 @@ class TestValidateScenario:
                              leader_accel=constant_profile(0.1, 0.0, 100.0))
         diags = validate_scenario(s)
         assert any(d.field == "leader" and "exceeds" in d.message for d in diags)
+        # plain floats, not numpy reprs such as np.float64(2.0001...)
+        assert [d.message for d in diags] == [
+            "leader velocity 2.0001000100010002 exceeds v_bar=2.0 at t=10.001000100010002"]
 
     def test_backward_leader_detected(self, reference_params):
         s = two_car_scenario(reference_params,
                              leader_accel=constant_profile(-0.1, 0.0, 100.0))
         diags = validate_scenario(s)
         assert any("negative" in d.message for d in diags)
+        assert [d.message for d in diags] == [
+            "leader velocity -0.00010001000100023916 negative at t=10.001000100010002"]
 
     def test_bad_gains_flagged(self, reference_params):
         s = two_car_scenario(replace(reference_params, k_v=-1.0))
@@ -70,6 +76,8 @@ class TestValidateScenario:
         s = two_car_scenario(reference_params, u_value=0.05)  # below u_min = 0.1
         diags = validate_scenario(s)
         assert any(d.field.startswith("controls") for d in diags)
+        assert [(d.field, d.message) for d in diags] == [
+            ("controls.u_1", "value 0.05 outside [u_min, u_max] at t=0.0")]
 
     def test_broadcast_out_of_range_control_reports_every_follower(
             self, reference_params, monkeypatch):
@@ -164,11 +172,20 @@ class TestHeadway:
             headway(st, 2)
 
 
-def test_switch_tol_defaults_to_scaled_horizon(reference_params):
+def test_switch_tol_defaults_to_scaled_horizon(reference_params, monkeypatch):
     s = two_car_scenario(reference_params, horizon=100.0)
     assert s.switch_tol == pytest.approx(1e-7)
-    s = replace(s, stepper=StepperConfig(dt=1e-2, switch_tol=1e-5))
-    assert s.switch_tol == 1e-5
+    tight = replace(s, stepper=StepperConfig(dt=1e-2, switch_tol=1e-5))
+    assert tight.switch_tol == 1e-5
+    # integrator.step takes its bisection bracket from the same property,
+    # applied to the stepper config it is given
+    used = []
+    run_state = integrator._RunState
+    monkeypatch.setattr(integrator, "_RunState",
+                        lambda st, guard_tol: used.append(st) or run_state(st, guard_tol))
+    integrator.step(StepperConfig(dt=1e-2), tight, 0.0, s.initial)
+    integrator.step(tight.stepper, s, 0.0, s.initial)
+    assert used == [s.switch_tol, 1e-5]
 
 
 def test_base_params_unwraps_cacc(reference_params):

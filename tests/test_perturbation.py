@@ -11,6 +11,7 @@ from platoonsim import (
     PerturbationSpec,
     PlatoonState,
     Scenario,
+    SolveStatus,
     StepperConfig,
     VehicleState,
     constant_profile,
@@ -18,6 +19,7 @@ from platoonsim import (
     load_preset,
     max_perturbation_scale,
     pair_signals,
+    parse_config,
     perturbed_scenario,
     perturbed_simulate,
     simulate,
@@ -151,6 +153,8 @@ class TestConvergenceStudy:
         s = make_scenario(reference_params)
         table = convergence_study(s, fig5_g, [0.0])
         assert table.rows == (ConvergenceRow(0.0, 0.0),)
+        base, zero = table.runs
+        assert zero is base  # eps = 0 reuses the base run
 
     def test_dedupes_and_sorts_descending(self, reference_params):
         s = make_scenario(reference_params)
@@ -172,6 +176,8 @@ class TestConvergenceStudy:
                                   strict=fig5_parsed.perturbation.strict)
         d = table.distances()
         assert [r.eps for r in table.rows] == [1.0, 0.5, 0.1, 0.05, 0.01]
+        assert len(table.runs) == 6  # base, then one run per row
+        assert all(r.status is SolveStatus.COMPLETED for r in table.runs)
         # frozen from this implementation at dt = 0.01
         want = [0.29143975759453294, 0.14359313129635304, 0.02835436882716199,
                 0.014153634830182005, 0.002826934491694136]
@@ -179,3 +185,13 @@ class TestConvergenceStudy:
         assert all(b < a for a, b in zip(d, d[1:]))
         # the small-eps response is linear: d/eps is nearly flat at the bottom
         assert (d[4] / 0.01) / (d[3] / 0.05) == pytest.approx(1.0, abs=0.05)
+
+    def test_stops_at_the_first_run_that_does_not_complete(self, fig5_guard_trip_text):
+        cfg = parse_config(fig5_guard_trip_text)
+        s, pert = cfg.scenario, cfg.perturbation
+        table = convergence_study(s, pert.resolved_g(s.horizon), pert.eps, strict=pert.strict)
+        assert table.rows == ()
+        base, stopped = table.runs
+        assert base.status is SolveStatus.COMPLETED
+        assert stopped.status is SolveStatus.GUARD_TRIPPED
+        assert stopped.trajectory.n_points < base.trajectory.n_points

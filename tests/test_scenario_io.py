@@ -367,9 +367,20 @@ class TestPresets:
         assert cfg.sweep.size() >= 200
 
 
-def test_readme_ini_blocks_parse():
+def _readme_blocks(lang: str) -> list[str]:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    blocks = re.findall(r"^```ini\n(.*?)^```", readme, re.S | re.M)
+    return re.findall(rf"^```{lang}\n(.*?)^```", readme, re.S | re.M)
+
+
+def test_readme_ini_blocks_parse():
+    blocks = _readme_blocks("ini")
     assert blocks
     for block in blocks:
         parse_config(block)
+
+
+def test_readme_python_blocks_run():
+    blocks = _readme_blocks("python")
+    assert blocks
+    for i, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {i + 1}", "exec"), {})

@@ -6,9 +6,12 @@ from platoonsim import (
     CaccParams,
     SweepConfig,
     expand_sweep,
+    headway_lower_bound,
     load_preset,
     parse_config,
     run_sweep,
+    simulate,
+    trajectory_headway_integral,
     write_sweep_csv,
 )
 
@@ -92,6 +95,26 @@ class TestRunSweep:
         assert all(r.status == "completed" for r in rows)
         assert all(r.min_headway > 0.0 for r in rows)
         assert all(r.bound_margin is not None and r.bound_margin > -1e-6 for r in rows)
+
+    def test_bound_margin_is_the_worst_follower_floor_margin(self, small_cfg):
+        """Differential check against the floor computed directly from the
+        trajectory, for every follower of the n = 3 runs."""
+        rows = run_sweep(small_cfg.scenario, small_cfg.sweep, workers=1)
+        scenarios = expand_sweep(small_cfg.scenario, small_cfg.sweep)
+        checked = 0
+        for r, s in zip(rows, scenarios):
+            if r.n != 3:
+                continue
+            traj = simulate(s).trajectory
+            h = traj.headways()
+            margins = [
+                float(h[:, i - 1].min()) - headway_lower_bound(
+                    s.params, float(h[0, i - 1]), float(traj.velocities[0, i]),
+                    trajectory_headway_integral(traj, i))
+                for i in (1, 2)]
+            assert r.bound_margin == min(margins)
+            checked += 1
+        assert checked == 4
 
     def test_worker_count_does_not_change_results(self, small_cfg):
         a = run_sweep(small_cfg.scenario, small_cfg.sweep, workers=1)
