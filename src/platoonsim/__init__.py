@@ -32,8 +32,6 @@ from .core import (
     validate_scenario,
 )
 from .integrator import (
-    CollisionError,
-    GuardTrippedError,
     SolveResult,
     SolveStats,
     SolveStatus,
@@ -41,7 +39,6 @@ from .integrator import (
     reference_solve,
     rhs,
     simulate,
-    step,
 )
 from .models import (
     TIE_TOLERANCE,
@@ -79,7 +76,6 @@ from .safety import (
     headway_upper_envelope,
     trajectory_headway_integral,
     velocity_lower_envelope,
-    velocity_upper_envelope,
 )
 from .scenario_io import (
     ConfigError,
@@ -126,10 +122,7 @@ __all__ = [
     "SwitchEvent",
     "SolveStats",
     "SolveResult",
-    "GuardTrippedError",
-    "CollisionError",
     "rhs",
-    "step",
     "simulate",
     "reference_solve",
     # safety
@@ -141,7 +134,6 @@ __all__ = [
     "envelope_decay_rate",
     "velocity_lower_envelope",
     "headway_upper_envelope",
-    "velocity_upper_envelope",
     "build_envelope",
     "apriori_headway_lower_bound",
     "build_envelope_apriori",

@@ -99,19 +99,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> ParsedConfig:
+    """The command's config with --dt applied, its scenario validated.
+
+    Every command calls this before it creates --out, so an invalid scenario
+    writes nothing, and the runs that follow skip validation.
+    """
     parsed = load_preset(args.preset) if args.preset is not None else load_config(args.config)
     if args.dt is not None:
         if not args.dt > 0.0:
             raise ConfigError(f"--dt must be positive, got {args.dt!r}")
         parsed = replace(parsed, scenario=replace(
             parsed.scenario, stepper=replace(parsed.scenario.stepper, dt=args.dt)))
-    return parsed
-
-
-def _require_valid(s: Scenario) -> None:
-    diags = validate_scenario(s)
+    diags = validate_scenario(parsed.scenario)
     if diags:
         raise ScenarioError(diags)
+    return parsed
 
 
 def _out_dir(args) -> Path:
@@ -147,11 +149,9 @@ def _report_result(res: SolveResult) -> None:
 
 
 def cmd_simulate(args) -> int:
-    parsed = _load(args)
-    s = parsed.scenario
-    _require_valid(s)
+    s = _load(args).scenario
     out = _out_dir(args)
-    res = simulate(s)
+    res = simulate(s, validate=False)
     write_trajectory_csv(res.trajectory, out / "trajectory.csv")
     _write_manifest(out, "simulate", s, ["trajectory.csv", "manifest.json"],
                     {"status": res.status.value, "steps": res.stats.steps,
@@ -173,10 +173,10 @@ def _settle_time(times, v, terminal: float, band: float = 0.01) -> float:
 
 
 def cmd_compare(args) -> int:
-    parsed = _load(args)
-    s = parsed.scenario
-    _require_valid(s)
+    s = _load(args).scenario
     out = _out_dir(args)
+    # The variants differ from the validated scenario only in law and params,
+    # and CaccParams' default constants pass validation, so none is re-validated.
     base = s.base_params
     cacc_params = s.params if isinstance(s.params, CaccParams) else CaccParams(base)
     variants = (
@@ -188,7 +188,7 @@ def cmd_compare(args) -> int:
     summary_rows = []
     proposed_status = SolveStatus.COMPLETED
     for name, variant in variants:
-        res = simulate(variant)
+        res = simulate(variant, validate=False)
         if name == "proposed":
             proposed_status = res.status
         traj = res.trajectory
@@ -220,16 +220,20 @@ def cmd_compare(args) -> int:
     return _STATUS_EXIT[proposed_status]
 
 
+def _print_report(report) -> int:
+    """Print each check's verdict; the exit code is 0 if all passed, else 5."""
+    for name, margin, _, ok in report.rows():
+        print(f"{name}: {'pass' if ok else 'FAIL'} (worst margin {fmt(margin)})")
+    return 0 if report.passed else 5
+
+
 def cmd_envelope(args) -> int:
-    parsed = _load(args)
-    s = parsed.scenario
-    _require_valid(s)
-    out = _out_dir(args)
+    s = _load(args).scenario
     if s.model_kind is not ModelKind.PROPOSED:
         print("envelope: certificates apply to the min-type law only", file=sys.stderr)
         return 3
     if args.check_only:
-        traj_path = out / "trajectory.csv"
+        traj_path = Path(args.out) / "trajectory.csv"
         if not traj_path.exists():
             print(f"envelope --check-only: no trajectory at {traj_path}", file=sys.stderr)
             return 3
@@ -240,12 +244,9 @@ def cmd_envelope(args) -> int:
                   file=sys.stderr)
         if mismatches:
             return 3
-        env = build_envelope(s, traj)
-        report = certify_trajectory(traj, env)
-        for name, margin, _, ok in report.rows():
-            print(f"{name}: {'pass' if ok else 'FAIL'} (worst margin {fmt(margin)})")
-        return 0 if report.passed else 5
-    res = simulate(s)
+        return _print_report(certify_trajectory(traj, build_envelope(s, traj)))
+    out = _out_dir(args)
+    res = simulate(s, validate=False)
     write_trajectory_csv(res.trajectory, out / "trajectory.csv")
     if res.status is not SolveStatus.COMPLETED:
         _write_manifest(out, "envelope", s, ["trajectory.csv", "manifest.json"],
@@ -262,15 +263,12 @@ def cmd_envelope(args) -> int:
                      "certified_min_headway": env.underline_h,
                      "headway_integral": env.H,
                      "certification_passed": report.passed})
-    for name, margin, _, ok in report.rows():
-        print(f"{name}: {'pass' if ok else 'FAIL'} (worst margin {fmt(margin)})")
-    return 0 if report.passed else 5
+    return _print_report(report)
 
 
 def cmd_perturb(args) -> int:
     parsed = _load(args)
     s = parsed.scenario
-    _require_valid(s)
     if parsed.perturbation is None:
         print("perturb: config has no [perturbation] section", file=sys.stderr)
         return 3
@@ -313,7 +311,6 @@ def cmd_perturb(args) -> int:
 def cmd_sweep(args) -> int:
     parsed = _load(args)
     s = parsed.scenario
-    _require_valid(s)
     if parsed.sweep is None:
         print("sweep: config has no [sweep] section", file=sys.stderr)
         return 3

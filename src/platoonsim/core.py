@@ -220,7 +220,7 @@ def _check_params(p: ModelParams | CaccParams, out: list[Diagnostic]) -> None:
             out.append(Diagnostic("params.d_l", "must be positive"))
 
 
-def validate_scenario(s: Scenario, grid_points: int = VALIDATION_GRID_POINTS) -> list[Diagnostic]:
+def validate_scenario(s: Scenario) -> list[Diagnostic]:
     """Collect every constraint violation; an empty list means runnable.
 
     The leader speed cap and the control ranges are checked on a dense time
@@ -273,7 +273,7 @@ def validate_scenario(s: Scenario, grid_points: int = VALIDATION_GRID_POINTS) ->
         out.append(Diagnostic(
             "leader.v0", f"{s.leader.v0!r} disagrees with initial leader velocity"))
 
-    grid = np.linspace(0.0, T, grid_points)
+    grid = np.linspace(0.0, T, VALIDATION_GRID_POINTS)
     if math.isfinite(base.v_bar) and not out:
         v_l = s.leader.v0 + s.leader.accel.integrals_from_start(grid)
         too_fast = v_l > base.v_bar

@@ -38,7 +38,6 @@ from .core import (
     ScenarioError,
     StepperConfig,
     Trajectory,
-    VehicleState,
     validate_scenario,
 )
 from .models import TANH2, TIE_TOLERANCE, BranchFlag
@@ -48,11 +47,8 @@ __all__ = [
     "SwitchEvent",
     "SolveStats",
     "SolveResult",
-    "GuardTrippedError",
-    "CollisionError",
     "StepperConfig",
     "rhs",
-    "step",
     "simulate",
     "reference_solve",
     "time_grid",
@@ -97,21 +93,6 @@ class SolveResult:
     stats: SolveStats
 
 
-class GuardTrippedError(RuntimeError):
-    def __init__(self, follower: int, velocity: float, t: float):
-        self.follower = follower
-        self.velocity = velocity
-        self.t = t
-        super().__init__(f"follower {follower} velocity {velocity!r} left the box at t={t!r}")
-
-
-class CollisionError(RuntimeError):
-    def __init__(self, t: float, follower: int):
-        self.t = t
-        self.follower = follower
-        super().__init__(f"headway ahead of follower {follower} closed at t={t!r}")
-
-
 class _Singular(Exception):
     """Internal: a singular law was asked for a non-positive headway."""
 
@@ -119,6 +100,11 @@ class _Singular(Exception):
 def _signs(phi: list[float]) -> list[int]:
     """Branch sign per follower: 1 control, -1 gap, 0 tie (within TIE_TOLERANCE)."""
     return [(p > TIE_TOLERANCE) - (p < -TIE_TOLERANCE) for p in phi]
+
+
+def _flipped(signs: list[int], other: list[int]) -> bool:
+    """Whether some follower went from control to gap or back (a tie flips nothing)."""
+    return -1 in [a * b for a, b in zip(signs, other)]
 
 
 _FLAG_OF_SIGN = {1: BranchFlag.CONTROL, -1: BranchFlag.GAP}
@@ -293,7 +279,7 @@ class _Engine:
 
 
 class _RunState:
-    """Settings and counters of one simulate or step call (guard_tol None: no guard)."""
+    """Settings and counters of one simulate call (guard_tol None: no guard)."""
 
     __slots__ = ("switch_tol", "guard_tol", "switch_refinements", "events", "event_cap_hits")
 
@@ -341,30 +327,16 @@ def _advance(eng: _Engine, run: _RunState, t: float, y: list[float], f,
         except _Singular:
             crossed = True
         if crossed:
-            raise _bisect_collision(eng, run.switch_tol, t, y, f, target)
+            raise _collision(eng, run.switch_tol, t, y, f, target)
         if eng.branches:
             phi_trial = eng.phi[:]
             signs_trial = _signs(phi_trial)
         else:
             phi_trial, signs_trial = eng.phi, signs
-        if signs_trial == signs or -1 not in [a * b for a, b in zip(signs, signs_trial)]:
+        if signs_trial == signs or not _flipped(signs, signs_trial):
             return _apply_guard(eng, run.guard_tol, target, y_trial, f_trial, phi_trial, signs_trial)
 
-        # Bracket the earliest sign change of the one-step map.
-        lo, hi = t, target
-        while hi - lo > run.switch_tol:
-            mid = 0.5 * (lo + hi)
-            try:
-                y_mid = eng.rk4(t, y, mid - t, f)
-                eng.deriv(mid, y_mid)
-                changed = eng.minh <= 0.0 or -1 in [
-                    a * b for a, b in zip(signs, _signs(eng.phi))]
-            except _Singular:
-                changed = True
-            if changed:
-                hi = mid
-            else:
-                lo = mid
+        lo, hi = _bisect(eng, run.switch_tol, t, y, f, target, signs)
         run.switch_refinements += 1
         try:
             y_hi = eng.rk4(t, y, hi - t, f)
@@ -372,7 +344,7 @@ def _advance(eng: _Engine, run: _RunState, t: float, y: list[float], f,
             if eng.minh <= 0.0:
                 raise _Singular(eng.minh_idx)
         except _Singular:
-            raise _bisect_collision(eng, run.switch_tol, t, y, f, hi)
+            raise _collision(eng, run.switch_tol, t, y, f, hi)
         phi_hi = eng.phi[:]
         signs_hi = _signs(phi_hi)
         mid_time = 0.5 * (lo + hi)
@@ -386,22 +358,31 @@ def _advance(eng: _Engine, run: _RunState, t: float, y: list[float], f,
     return _apply_guard(eng, run.guard_tol, target, y_trial, f_trial, phi_trial, signs_trial)
 
 
-def _bisect_collision(eng: _Engine, switch_tol: float, t: float, y: list[float],
-                      f, hi0: float) -> _Collision:
-    """Locate the first infeasible/zero-headway time in (t, hi0]."""
-    lo, hi = t, hi0
+def _bisect(eng: _Engine, switch_tol: float, t: float, y: list[float], f, hi: float,
+            signs: list[int] | None) -> tuple[float, float]:
+    """Bracket, to switch_tol, the earliest event of the one-step map from (t, y)
+    in (t, hi]: a headway closing (or a singular law failing) and, unless signs
+    is None, a branch flip against signs. Returns the bracket (lo, hi)."""
+    lo = t
     while hi - lo > switch_tol:
         mid = 0.5 * (lo + hi)
         try:
             y_mid = eng.rk4(t, y, mid - t, f)
             eng.deriv(mid, y_mid)
-            crossed = eng.minh <= 0.0
+            hit = eng.minh <= 0.0 or (signs is not None and _flipped(signs, _signs(eng.phi)))
         except _Singular:
-            crossed = True
-        if crossed:
+            hit = True
+        if hit:
             hi = mid
         else:
             lo = mid
+    return lo, hi
+
+
+def _collision(eng: _Engine, switch_tol: float, t: float, y: list[float],
+               f, hi: float) -> _Collision:
+    """Locate the first infeasible/zero-headway time in (t, hi]."""
+    lo, _ = _bisect(eng, switch_tol, t, y, f, hi, None)
     y_lo = y if lo == t else eng.rk4(t, y, lo - t, f)
     hws = _headways_of(y_lo, eng.n)
     return _Collision(lo, y_lo, 1 + hws.index(min(hws)))
@@ -448,35 +429,6 @@ def rhs(s: Scenario, t: float, state: PlatoonState) -> list[float]:
         raise ValueError(f"headway ahead of follower {e.args[0]} is not positive") from None
 
 
-def step(cfg: StepperConfig, s: Scenario, t: float, state: PlatoonState
-         ) -> tuple[float, PlatoonState]:
-    """One accepted step of size at most cfg.dt, with event handling.
-
-    Branch switches inside the step are located to switch_tol and the
-    integration restarts from the switch point before finishing the step.
-    Raises GuardTrippedError when a min-law follower velocity leaves
-    [0, v_bar] by more than guard_tol, CollisionError when a headway closes.
-    """
-    eng = _Engine(s)
-    run = _RunState(replace(s, stepper=cfg).switch_tol,
-                    cfg.guard_tol if s.model_kind is ModelKind.PROPOSED else None)
-    y = [c for veh in state.vehicles for c in (veh.x, veh.v)]
-    target = min(t + cfg.dt, s.horizon)
-    if target <= t:
-        raise ValueError(f"t={t!r} already at or past the horizon {s.horizon!r}")
-    try:
-        f = eng.deriv(t, y)
-        y_new = _advance(eng, run, t, y, f, _signs(eng.phi), target)[0]
-    except _Singular as e:
-        raise ValueError(f"headway ahead of follower {e.args[0]} is not positive") from None
-    except _Collision as c:
-        raise CollisionError(c.t, c.follower) from None
-    except _Guard as g:
-        raise GuardTrippedError(g.follower, g.velocity, g.t) from None
-    vehicles = tuple(VehicleState(y_new[2 * i], y_new[2 * i + 1]) for i in range(eng.n))
-    return target, PlatoonState(vehicles, t=target)
-
-
 def time_grid(s: Scenario) -> list[float]:
     """simulate's output times for a run that reaches the horizon: i * dt,
     then the horizon itself as the last point."""
@@ -510,8 +462,9 @@ def simulate(s: Scenario, *, validate: bool = True) -> SolveResult:
 
     The returned trajectory's grid is the accepted regular steps (plus the
     located stopping point when a collision or guard trip truncates the run).
-    validate=False skips scenario validation; the perturbation experiments
-    use it to run deliberately over-cap leader profiles.
+    validate=False skips scenario validation: for a scenario the caller has
+    already validated (each CLI command, compare's law variants, the
+    perturbation study) and for a deliberately over-cap perturbed leader.
     """
     if validate:
         diags = validate_scenario(s)

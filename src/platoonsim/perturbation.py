@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import LeaderProfile, Scenario, Trajectory
+from .core import LeaderProfile, Scenario, ScenarioError, Trajectory, validate_scenario
 from .integrator import SolveResult, SolveStatus, simulate
 from .profiles import PiecewiseProfile
 
@@ -104,19 +104,20 @@ def perturbed_simulate(s: Scenario, spec: PerturbationSpec, *,
                        strict: bool = True) -> SolveResult:
     """Simulate with the perturbed leader.
 
-    eps = 0 runs the plain scenario, bit-identical to simulate(s). In
-    strict mode eps must not exceed max_perturbation_scale. Non-strict
-    over-scale runs skip only the leader speed-cap validation (everything
-    else about the scenario was validated unperturbed).
+    Validates s unperturbed, then runs it with the perturbed leader. eps = 0
+    runs the plain scenario, bit-identical to simulate(s). In strict mode
+    eps must not exceed max_perturbation_scale. Non-strict over-scale runs
+    skip only the leader speed-cap validation.
     """
-    from .core import ScenarioError, validate_scenario
-
     diags = validate_scenario(s)
     if diags:
         raise ScenarioError(diags)
-    if spec.eps == 0.0:
-        return simulate(s, validate=False)
-    if strict:
+    return _run_perturbed(s, spec, strict)
+
+
+def _run_perturbed(s: Scenario, spec: PerturbationSpec, strict: bool) -> SolveResult:
+    """perturbed_simulate for an already validated s."""
+    if strict and spec.eps > 0.0:
         eps0 = max_perturbation_scale(spec.g, s.leader, s.base_params.v_bar, s.horizon)
         if spec.eps > eps0:
             raise ValueError(
@@ -143,6 +144,7 @@ def convergence_study(s: Scenario, g: PiecewiseProfile, eps_list,
     The study stops at the first run that does not complete (collision,
     guard), whether the base run or a perturbed one: that run ends
     table.runs and gets no row, so every row compares two full grids.
+    The base run validates s; the perturbed runs rely on that check.
     """
     eps_values = sorted({float(e) for e in eps_list}, reverse=True)
     if not eps_values:
@@ -152,8 +154,7 @@ def convergence_study(s: Scenario, g: PiecewiseProfile, eps_list,
     if base.status is SolveStatus.COMPLETED:
         _, xi_base, zeta_base = pair_signals(base.trajectory, follower)
         for eps in eps_values:
-            res = base if eps == 0.0 else perturbed_simulate(
-                s, PerturbationSpec(g, eps), strict=strict)
+            res = base if eps == 0.0 else _run_perturbed(s, PerturbationSpec(g, eps), strict)
             runs.append(res)
             if res.status is not SolveStatus.COMPLETED:
                 break

@@ -230,10 +230,11 @@ class PiecewiseProfile:
             out[mask] = self._prefix[idx] + part
         return out
 
-    def l1_norm(self, a: float | None = None, b: float | None = None, subdivisions: int = 4096) -> float:
+    def l1_norm(self, a: float | None = None, b: float | None = None) -> float:
         """Quadrature of |value| over [a, b] (composite Simpson per segment).
 
-        Deterministic by construction: a fixed subdivision count, no adaptivity.
+        Deterministic by construction: a fixed 8192 subintervals per segment,
+        no adaptivity.
         """
         a = self.start if a is None else a
         b = self.end if b is None else b
@@ -243,13 +244,13 @@ class PiecewiseProfile:
             hi = min(b, seg.t1)
             if hi <= lo:
                 continue
-            ts = np.linspace(lo, hi, 2 * subdivisions + 1)
+            ts = np.linspace(lo, hi, 8193)
             dt = ts - seg.t0
             v = seg.const + seg.slope * dt
             for amp, om, ph in seg.sines:
                 v = v + amp * np.sin(om * dt + ph)
             y = np.abs(v)
-            h = (hi - lo) / (2 * subdivisions)
+            h = (hi - lo) / 8192
             total += (h / 3.0) * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
         return float(total)
 

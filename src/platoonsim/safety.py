@@ -10,9 +10,9 @@ initial headway) is provided as well for certification before simulating.
 
 The envelopes of build_envelope and build_envelope_apriori are evaluated
 in closed form and accept a float or a numpy array of times, so a whole
-trajectory grid is certified in one vectorised pass. The scalar
-velocity_upper_envelope, which takes an arbitrary headway envelope, keeps
-adaptive quadrature and serves as the reference for the closed form.
+trajectory grid is certified in one vectorised pass. The package has no
+quadrature: the tests hold the closed forms to an adaptive-quadrature
+evaluation of the defining integrals.
 
 Envelopes may be visibly loose relative to the trajectory: the constants
 are used raw, with no calibration step.
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -38,7 +38,6 @@ __all__ = [
     "envelope_decay_rate",
     "velocity_lower_envelope",
     "headway_upper_envelope",
-    "velocity_upper_envelope",
     "build_envelope",
     "apriori_headway_lower_bound",
     "build_envelope_apriori",
@@ -46,8 +45,6 @@ __all__ = [
     "estimate_lipschitz",
     "gronwall_bound",
 ]
-
-QUAD_REL_TOL = 1e-9
 
 CHECK_NAMES = ("headway_lower", "headway_upper", "velocity_envelope", "velocity_box")
 
@@ -160,73 +157,9 @@ def headway_upper_envelope(p: ModelParams, h0: float, v0: float, v_bar: float,
     return _shaped(t, h0 + v_bar * ts + v0 * (np.exp(-r * ts) - 1.0) / r)
 
 
-def _adaptive_simpson(f, a: float, b: float, rel_tol: float) -> float:
-    if b <= a:
-        return 0.0
-    m = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(m), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _asr(f, a, m, b, fa, fm, fb, whole, rel_tol, 50)
-
-
-def _asr(f, a, m, b, fa, fm, fb, whole, rel_tol, depth):
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    refined = left + right
-    delta = refined - whole
-    if depth <= 0 or abs(delta) <= 15.0 * rel_tol * max(abs(refined), 1e-30):
-        return refined + delta / 15.0
-    return (_asr(f, a, lm, m, fa, flm, fm, left, rel_tol, depth - 1)
-            + _asr(f, m, rm, b, fm, frm, fb, right, rel_tol, depth - 1))
-
-
-def _integrate_smooth(f, a: float, b: float, breakpoints: Sequence[float] = ()) -> float:
-    """Adaptive Simpson over [a, b], split at interior breakpoints (law kinks)."""
-    cuts = sorted({a, b, *(c for c in breakpoints if a < c < b)})
-    return sum(_adaptive_simpson(f, lo, hi, QUAD_REL_TOL)
-               for lo, hi in zip(cuts, cuts[1:]))
-
-
-def velocity_upper_envelope(p: ModelParams, v0: float, u: PiecewiseProfile,
-                            h_hi: Callable[[float], float], underline_h: float,
-                            v_bar: float, t: float) -> float:
-    """Velocity upper envelope: min of the control-relaxation branch and the
-    spacing-relaxation branch, at one time t for an arbitrary h_hi callable.
-
-    Control branch: k * int_0^t e^{k(s-t)} u(s) ds + v0 e^{-kt}, which for a
-    constant control closes to u + (v0 - u) e^{-kt}. Spacing branch:
-    int_0^t e^{k_d tau_s (s-t)} (k_d h_hi(s) + k_v v_bar / underline_h^2) ds
-    + v0 e^{-k_d tau_s t}. Integrals use adaptive Simpson at 1e-9 relative,
-    restarted from 0 for every t. This is the reference that the closed-form
-    V_hi of build_envelope is tested against; certification never calls it.
-    """
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
-    if t == 0.0:
-        return v0
-    k = p.k
-    uc = u.is_constant()
-    if uc is not None:
-        branch1 = uc + (v0 - uc) * math.exp(-k * t)
-    else:
-        decay = math.exp(-k * t)
-        kernel = lambda s: math.exp(k * (s - t)) * u.value(s)
-        cuts = [seg.t0 for seg in u.segments]
-        branch1 = k * _integrate_smooth(kernel, 0.0, t, cuts) + v0 * decay
-    b = p.k_d * p.tau_s
-    drive = p.k_v * v_bar / (underline_h * underline_h)
-    kd = p.k_d
-    kernel2 = lambda s: math.exp(b * (s - t)) * (kd * h_hi(s) + drive)
-    branch2 = _integrate_smooth(kernel2, 0.0, t) + v0 * math.exp(-b * t)
-    return min(branch1, branch2)
-
-
 def _spacing_branch(p: ModelParams, h0: float, v0: float, v_bar: float,
                     underline_h: float, ts: np.ndarray) -> np.ndarray:
-    """The spacing branch of velocity_upper_envelope for its own h_hi, exactly.
+    """The spacing branch of the velocity upper envelope for its own h_hi, exactly.
 
     With b = k_d tau_s and r the decay rate, k_d h_hi(s) + drive is
     c + k_d v_bar s + (k_d v0 / r) e^{-rs}, c = k_d (h0 - v0/r) + drive, so

@@ -2,10 +2,12 @@
 
 import csv
 import json
+import sys
 
 import pytest
 
-from platoonsim import BranchFlag, preset_text
+from platoonsim import BranchFlag, convergence_study, load_preset, preset_text
+from platoonsim import core
 from platoonsim.cli import main
 
 SWEEP_CFG = """\
@@ -122,6 +124,16 @@ class TestBadInput:
         assert code == 3
         assert "--dt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "compare", "envelope", "perturb", "sweep"])
+    def test_invalid_scenario_writes_nothing(self, tmp_path, capsys, command):
+        cfg = tmp_path / "coincide.ini"
+        cfg.write_text(SWEEP_CFG.replace("positions = 5, 0", "positions = 5, 5"),
+                       encoding="utf-8")
+        out = tmp_path / "o"
+        assert run(command, "--config", str(cfg), "--out", str(out)) == 3
+        assert "invalid scenario" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run("--version")
@@ -192,14 +204,18 @@ class TestEnvelope:
         assert "FAIL" not in captured.out
 
     def test_check_only_without_trajectory(self, tmp_path, capsys):
-        code = run("envelope", "--preset", "fig4", "--out", str(tmp_path), "--check-only")
+        out = tmp_path / "o"
+        code = run("envelope", "--preset", "fig4", "--out", str(out), "--check-only")
         assert code == 3
         assert "no trajectory" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_proposed_model_rejected(self, tmp_path, capsys):
-        code = run("envelope", "--preset", "fig1_left_cacc", "--out", str(tmp_path))
+        out = tmp_path / "o"
+        code = run("envelope", "--preset", "fig1_left_cacc", "--out", str(out))
         assert code == 3
         assert "min-type law only" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPerturb:
@@ -291,3 +307,46 @@ class TestSweep:
         code = run("sweep", "--config", str(cfg), "--out", str(tmp_path / "o"),
                    "--workers", "0")
         assert code == 3
+
+
+@pytest.fixture
+def validate_calls(monkeypatch):
+    """Scenarios passed to validate_scenario, counted in every module that binds it."""
+    calls = []
+    original = core.validate_scenario
+
+    def counted(s):
+        calls.append(s)
+        return original(s)
+
+    bound = [name for name, mod in list(sys.modules.items())
+             if name.partition(".")[0] == "platoonsim"
+             and getattr(mod, "validate_scenario", None) is original]
+    assert {"platoonsim.core", "platoonsim.cli", "platoonsim.integrator",
+            "platoonsim.perturbation"} <= set(bound)
+    for name in bound:
+        monkeypatch.setattr(sys.modules[name], "validate_scenario", counted)
+    return calls
+
+
+class TestValidationCounts:
+    """Each command validates its scenario once; the perturbation study
+    validates its input once more, as a public entry point."""
+
+    @pytest.mark.parametrize("command, preset, count", [
+        ("simulate", "fig1_left", 1),
+        ("compare", "fig1_right", 1),
+        ("envelope", "fig4", 1),
+        ("perturb", "fig5", 2),
+    ])
+    def test_cli_command(self, tmp_path, validate_calls, command, preset, count):
+        assert run(command, "--preset", preset, "--out", str(tmp_path)) == 0
+        assert len(validate_calls) == count
+
+    def test_convergence_study(self, validate_calls):
+        parsed = load_preset("fig5")
+        pert = parsed.perturbation
+        s = parsed.scenario
+        table = convergence_study(s, pert.resolved_g(s.horizon), pert.eps, strict=pert.strict)
+        assert len(table.runs) == 6
+        assert validate_calls == [s]

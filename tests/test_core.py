@@ -177,14 +177,13 @@ def test_switch_tol_defaults_to_scaled_horizon(reference_params, monkeypatch):
     assert s.switch_tol == pytest.approx(1e-7)
     tight = replace(s, stepper=StepperConfig(dt=1e-2, switch_tol=1e-5))
     assert tight.switch_tol == 1e-5
-    # integrator.step takes its bisection bracket from the same property,
-    # applied to the stepper config it is given
+    # simulate takes its bisection bracket from the same property
     used = []
     run_state = integrator._RunState
     monkeypatch.setattr(integrator, "_RunState",
                         lambda st, guard_tol: used.append(st) or run_state(st, guard_tol))
-    integrator.step(StepperConfig(dt=1e-2), tight, 0.0, s.initial)
-    integrator.step(tight.stepper, s, 0.0, s.initial)
+    integrator.simulate(s)
+    integrator.simulate(tight)
     assert used == [s.switch_tol, 1e-5]
 
 

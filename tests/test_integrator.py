@@ -28,7 +28,6 @@ from platoonsim import (
     reference_solve,
     rhs,
     simulate,
-    step,
 )
 from platoonsim import integrator
 from platoonsim.core import LeaderProfile, OvflParams
@@ -56,13 +55,12 @@ def test_rhs_equilibrium_platoon(reference_params):
     assert max(abs(a) for a in accels) < 1e-12
 
 
-def test_step_advances_leader_exactly(fig1_left_scenario):
-    cfg = fig1_left_scenario.stepper
-    t1, st1 = step(cfg, fig1_left_scenario, 0.0, fig1_left_scenario.initial)
-    assert t1 == pytest.approx(0.01)
+def test_step_advances_leader_exactly(fig1_left_result):
+    traj = fig1_left_result.trajectory
+    assert traj.times[1] == pytest.approx(0.01)
     # zero-accel leader moves linearly; RK4 reproduces that without error
-    assert st1.vehicles[0].x == 5.0 + 1.0 * 0.01
-    assert st1.vehicles[0].v == 1.0
+    assert traj.positions[1, 0] == 5.0 + 1.0 * 0.01
+    assert traj.velocities[1, 0] == 1.0
 
 
 class TestFig1Left:

@@ -8,6 +8,7 @@ value is frozen here.
 
 import math
 from dataclasses import replace
+from typing import Callable, Sequence
 
 import numpy as np
 import pytest
@@ -29,10 +30,80 @@ from platoonsim import (
     simulate,
     trajectory_headway_integral,
     velocity_lower_envelope,
-    velocity_upper_envelope,
 )
 from platoonsim.profiles import PiecewiseProfile, Segment, profile_from_table
 from platoonsim.safety import CHECK_NAMES, _assemble
+
+
+# The quadrature reference for the closed-form velocity upper envelope: the
+# defining integrals by adaptive Simpson. The differential tests below hold
+# build_envelope's V_hi to it.
+
+QUAD_REL_TOL = 1e-9
+
+
+def _adaptive_simpson(f, a: float, b: float, rel_tol: float) -> float:
+    if b <= a:
+        return 0.0
+    m = 0.5 * (a + b)
+    fa, fm, fb = f(a), f(m), f(b)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    return _asr(f, a, m, b, fa, fm, fb, whole, rel_tol, 50)
+
+
+def _asr(f, a, m, b, fa, fm, fb, whole, rel_tol, depth):
+    lm = 0.5 * (a + m)
+    rm = 0.5 * (m + b)
+    flm, frm = f(lm), f(rm)
+    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    refined = left + right
+    delta = refined - whole
+    if depth <= 0 or abs(delta) <= 15.0 * rel_tol * max(abs(refined), 1e-30):
+        return refined + delta / 15.0
+    return (_asr(f, a, lm, m, fa, flm, fm, left, rel_tol, depth - 1)
+            + _asr(f, m, rm, b, fm, frm, fb, right, rel_tol, depth - 1))
+
+
+def _integrate_smooth(f, a: float, b: float, breakpoints: Sequence[float] = ()) -> float:
+    """Adaptive Simpson over [a, b], split at interior breakpoints (law kinks)."""
+    cuts = sorted({a, b, *(c for c in breakpoints if a < c < b)})
+    return sum(_adaptive_simpson(f, lo, hi, QUAD_REL_TOL)
+               for lo, hi in zip(cuts, cuts[1:]))
+
+
+def velocity_upper_envelope(p: ModelParams, v0: float, u: PiecewiseProfile,
+                            h_hi: Callable[[float], float], underline_h: float,
+                            v_bar: float, t: float) -> float:
+    """Velocity upper envelope: min of the control-relaxation branch and the
+    spacing-relaxation branch, at one time t for an arbitrary h_hi callable.
+
+    Control branch: k * int_0^t e^{k(s-t)} u(s) ds + v0 e^{-kt}, which for a
+    constant control closes to u + (v0 - u) e^{-kt}. Spacing branch:
+    int_0^t e^{k_d tau_s (s-t)} (k_d h_hi(s) + k_v v_bar / underline_h^2) ds
+    + v0 e^{-k_d tau_s t}. Integrals use adaptive Simpson at 1e-9 relative,
+    restarted from 0 for every t. This is the reference that the closed-form
+    V_hi of build_envelope is tested against; certification never calls it.
+    """
+    if t < 0.0:
+        raise ValueError("t must be nonnegative")
+    if t == 0.0:
+        return v0
+    k = p.k
+    uc = u.is_constant()
+    if uc is not None:
+        branch1 = uc + (v0 - uc) * math.exp(-k * t)
+    else:
+        decay = math.exp(-k * t)
+        kernel = lambda s: math.exp(k * (s - t)) * u.value(s)
+        cuts = [seg.t0 for seg in u.segments]
+        branch1 = k * _integrate_smooth(kernel, 0.0, t, cuts) + v0 * decay
+    b = p.k_d * p.tau_s
+    drive = p.k_v * v_bar / (underline_h * underline_h)
+    kd = p.k_d
+    kernel2 = lambda s: math.exp(b * (s - t)) * (kd * h_hi(s) + drive)
+    branch2 = _integrate_smooth(kernel2, 0.0, t) + v0 * math.exp(-b * t)
+    return min(branch1, branch2)
 
 
 def constant_headway_trajectory(h, T, n_points=11):
