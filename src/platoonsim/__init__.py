@@ -14,13 +14,11 @@ plus :func:`certify_trajectory` to check it.
 __version__ = "0.1.0"
 
 from .core import (
-    VALIDATION_GRID_POINTS,
     CaccParams,
     Diagnostic,
     LeaderProfile,
     ModelKind,
     ModelParams,
-    OvflParams,
     PlatoonState,
     Scenario,
     ScenarioError,
@@ -96,7 +94,6 @@ __all__ = [
     "ModelKind",
     "ModelParams",
     "CaccParams",
-    "OvflParams",
     "VehicleState",
     "PlatoonState",
     "LeaderProfile",
@@ -108,7 +105,6 @@ __all__ = [
     "validate_scenario",
     "leader_velocity",
     "headway",
-    "VALIDATION_GRID_POINTS",
     # models
     "BranchFlag",
     "TIE_TOLERANCE",

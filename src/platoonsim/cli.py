@@ -279,12 +279,12 @@ def cmd_perturb(args) -> int:
     strict = pert.strict if args.strict_eps is None else args.strict_eps == "true"
     g = pert.resolved_g(s.horizon)
     eps0 = max_perturbation_scale(g, s.leader, s.base_params.v_bar, s.horizon)
-    out = _out_dir(args)
     table = convergence_study(s, g, pert.eps, strict=strict)
     base, last = table.runs[0], table.runs[-1]
     if base.status is not SolveStatus.COMPLETED:
         _report_result(base)
         return _STATUS_EXIT[base.status]
+    out = _out_dir(args)
     eps_values = sorted({float(e) for e in pert.eps}, reverse=True)
     outputs = ["convergence.csv", "manifest.json"]
     for eps, res in zip(eps_values, table.runs[1:]):

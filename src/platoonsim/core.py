@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -23,7 +24,6 @@ __all__ = [
     "ModelKind",
     "ModelParams",
     "CaccParams",
-    "OvflParams",
     "VehicleState",
     "PlatoonState",
     "LeaderProfile",
@@ -35,11 +35,7 @@ __all__ = [
     "validate_scenario",
     "leader_velocity",
     "headway",
-    "VALIDATION_GRID_POINTS",
 ]
-
-# Dense grid resolution for speed-cap and control-range checks.
-VALIDATION_GRID_POINTS = 10_000
 
 
 class ModelKind(str, Enum):
@@ -74,14 +70,6 @@ class CaccParams:
     k_a: float = 1.0
     d: float = 1.0
     d_l: float = 1.0
-
-
-@dataclass(frozen=True)
-class OvflParams:
-    """Optimal-velocity-with-forward-looking baseline gains."""
-
-    k_v: float
-    k_d: float
 
 
 @dataclass(frozen=True)
@@ -220,13 +208,23 @@ def _check_params(p: ModelParams | CaccParams, out: list[Diagnostic]) -> None:
             out.append(Diagnostic("params.d_l", "must be positive"))
 
 
+def _range_error(found, witness: str, claim: str) -> str | None:
+    """Text for a PiecewiseProfile.range_exit result: witness formatted with
+    the value v and time t found outside, or "cannot decide whether" claim."""
+    if found is None:
+        return None
+    p, q, v = found
+    return witness.format(v=v, t=p) if v is not None else (
+        f"cannot decide whether {claim} on [{p!r}, {q!r}]")
+
+
 def validate_scenario(s: Scenario) -> list[Diagnostic]:
     """Collect every constraint violation; an empty list means runnable.
 
-    The leader speed cap and the control ranges are checked on a dense time
-    grid; velocity values on the grid come from exact per-segment integrals
-    of the acceleration profile, so the check carries no quadrature error
-    beyond the grid resolution itself.
+    The leader speed cap and the control ranges are checked with the
+    interval enclosures of PiecewiseProfile.range_exit, not by sampling:
+    leader speed is the exact integral of its acceleration, and a reported
+    t is a point where the value really lies outside the range.
     """
     out: list[Diagnostic] = []
     _check_params(s.params, out)
@@ -273,28 +271,22 @@ def validate_scenario(s: Scenario) -> list[Diagnostic]:
         out.append(Diagnostic(
             "leader.v0", f"{s.leader.v0!r} disagrees with initial leader velocity"))
 
-    grid = np.linspace(0.0, T, VALIDATION_GRID_POINTS)
     if math.isfinite(base.v_bar) and not out:
-        v_l = s.leader.v0 + s.leader.accel.integrals_from_start(grid)
-        too_fast = v_l > base.v_bar
-        if too_fast.any():
-            j = int(np.argmax(too_fast))
-            out.append(Diagnostic(
-                "leader",
-                f"leader velocity {float(v_l[j])!r} exceeds v_bar={base.v_bar!r} "
-                f"at t={float(grid[j])!r}"))
-        backward = v_l < 0.0
-        if backward.any():
-            j = int(np.argmax(backward))
-            out.append(Diagnostic(
-                "leader",
-                f"leader velocity {float(v_l[j])!r} negative at t={float(grid[j])!r}"))
+        v_l = partial(leader_velocity, s.leader)
+        for lo, hi, witness, claim in (
+                (-math.inf, base.v_bar, f"exceeds v_bar={base.v_bar!r}", f"at most v_bar={base.v_bar!r}"),
+                (0.0, math.inf, "negative", "nonnegative")):
+            err = _range_error(s.leader.accel.range_exit(0.0, T, lo, hi, v_l),
+                               "leader velocity {v!r} " + witness + " at t={t!r}",
+                               f"leader velocity stays {claim}")
+            if err is not None:
+                out.append(Diagnostic("leader", err))
 
     if len(s.controls) != max(n - 1, 0):
         out.append(Diagnostic(
             "controls", f"need one control per follower ({n - 1}), got {len(s.controls)}"))
     else:
-        # Sweeps give every follower one profile object: sample each object once.
+        # Sweeps give every follower one profile object: check each object once.
         range_errors: dict[int, str | None] = {}
         for i, u in enumerate(s.controls, start=1):
             if u.start > 0.0 or u.end < T:
@@ -303,11 +295,10 @@ def validate_scenario(s: Scenario) -> list[Diagnostic]:
                     f"profile covers [{u.start!r}, {u.end!r}], needs [0, {T!r}]"))
                 continue
             if id(u) not in range_errors:
-                vals = u.values(grid)
-                outside = (vals < base.u_min) | (vals > base.u_max)
-                j = int(np.argmax(outside))
-                range_errors[id(u)] = (f"value {float(vals[j])!r} outside [u_min, u_max] "
-                                       f"at t={float(grid[j])!r}" if outside[j] else None)
+                range_errors[id(u)] = _range_error(
+                    u.range_exit(0.0, T, base.u_min, base.u_max),
+                    "value {v!r} outside [u_min, u_max] at t={t!r}",
+                    "the value stays inside [u_min, u_max]")
             if range_errors[id(u)] is not None:
                 out.append(Diagnostic(f"controls.u_{i}", range_errors[id(u)]))
 

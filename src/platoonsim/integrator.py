@@ -440,7 +440,8 @@ def trajectory_mismatches(s: Scenario, traj: Trajectory) -> list[str]:
     """Reasons why traj cannot be a completed simulate run of s; empty if none.
 
     Checks the vehicle count, the first row against the initial state, the
-    last time against the horizon and the row count against the dt grid.
+    last time against the horizon, the row count against the dt grid and,
+    when those two agree, every time against the dt grid exactly.
     """
     n = s.initial.n
     if traj.n_vehicles != n:
@@ -449,11 +450,16 @@ def trajectory_mismatches(s: Scenario, traj: Trajectory) -> list[str]:
     if (traj.positions[0].tolist() != [veh.x for veh in s.initial.vehicles]
             or traj.velocities[0].tolist() != [veh.v for veh in s.initial.vehicles]):
         out.append("the first row is not the scenario's initial state")
-    if float(traj.times[-1]) != s.horizon:
+    last_ok = float(traj.times[-1]) == s.horizon
+    if not last_ok:
         out.append(f"the last time {float(traj.times[-1])!r} is not the horizon {s.horizon!r}")
-    expected = len(time_grid(s))
-    if traj.n_points != expected:
-        out.append(f"{traj.n_points} rows, the dt grid has {expected}")
+    expected = time_grid(s)
+    if traj.n_points != len(expected):
+        out.append(f"{traj.n_points} rows, the dt grid has {len(expected)}")
+    elif last_ok and traj.times.tolist() != expected:
+        j = next(j for j, (a, b) in enumerate(zip(traj.times.tolist(), expected)) if a != b)
+        out.append(f"the time {float(traj.times[j])!r} at grid point {j} is not "
+                   f"the dt grid's {expected[j]!r}")
     return out
 
 

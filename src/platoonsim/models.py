@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from enum import IntEnum
 
-from .core import CaccParams, ModelParams, OvflParams
+from .core import CaccParams, ModelParams
 
 __all__ = [
     "BranchFlag",
@@ -92,8 +92,8 @@ def optimal_velocity(x: float) -> float:
     return math.tanh(x - 2.0) + TANH2
 
 
-def accel_ovfl(p: OvflParams, x_l: float, x: float, v_l: float, v: float) -> float:
-    """Forward-looking optimal-velocity baseline. Requires x_l > x."""
+def accel_ovfl(p: ModelParams, x_l: float, x: float, v_l: float, v: float) -> float:
+    """Forward-looking optimal-velocity baseline; uses p.k_v and p.k_d. Requires x_l > x."""
     h = x_l - x
     if h <= 0.0:
         raise ValueError(f"headway must be positive, got {h!r}")

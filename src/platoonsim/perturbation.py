@@ -3,10 +3,12 @@
 The leader's acceleration is replaced by a_l(t) + eps * g(t) for a shape
 function g and scale eps. Admissibility keeps the perturbed leader under
 the speed cap: eps must not exceed
-(v_bar - v_l0 - ||a_l||_L1) / ||g||_L1. Strict mode enforces that; the
-override exists because over-scale runs are still well-defined dynamics
-(the follower's speed box holds regardless), just without the cap
-guarantee on the leader.
+(v_bar - v_l0 - ||a_l||_L1) / ||g||_L1. Both norms come from
+PiecewiseProfile.l1_norm, an upper bound within rounding of the true
+norm, so the computed scale errs on the admissible side. Strict mode
+enforces the cap; the override exists because over-scale runs are still
+well-defined dynamics (the follower's speed box holds regardless), just
+without the cap guarantee on the leader.
 
 Convergence of the perturbed pair signals (headway, velocity difference)
 to the unperturbed ones as eps -> 0 is measured on the shared regular
@@ -109,21 +111,26 @@ def perturbed_simulate(s: Scenario, spec: PerturbationSpec, *,
     eps must not exceed max_perturbation_scale. Non-strict over-scale runs
     skip only the leader speed-cap validation.
     """
+    _validate(s)
+    _check_admissible(s, spec.g, [spec.eps], strict)
+    return simulate(perturbed_scenario(s, spec), validate=False)
+
+
+def _validate(s: Scenario) -> None:
     diags = validate_scenario(s)
     if diags:
         raise ScenarioError(diags)
-    return _run_perturbed(s, spec, strict)
 
 
-def _run_perturbed(s: Scenario, spec: PerturbationSpec, strict: bool) -> SolveResult:
-    """perturbed_simulate for an already validated s."""
-    if strict and spec.eps > 0.0:
-        eps0 = max_perturbation_scale(spec.g, s.leader, s.base_params.v_bar, s.horizon)
-        if spec.eps > eps0:
-            raise ValueError(
-                f"eps={spec.eps!r} exceeds the admissible scale {eps0!r}; "
-                "pass strict=False to run anyway")
-    return simulate(perturbed_scenario(s, spec), validate=False)
+def _check_admissible(s: Scenario, g: PiecewiseProfile, eps_values, strict: bool) -> None:
+    """In strict mode, raise ValueError for the first scale above max_perturbation_scale."""
+    if strict and any(eps > 0.0 for eps in eps_values):
+        eps0 = max_perturbation_scale(g, s.leader, s.base_params.v_bar, s.horizon)
+        for eps in eps_values:
+            if eps > eps0:
+                raise ValueError(
+                    f"eps={eps!r} exceeds the admissible scale {eps0!r}; "
+                    "pass strict=False to run anyway")
 
 
 def pair_signals(traj: Trajectory, follower: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -144,17 +151,21 @@ def convergence_study(s: Scenario, g: PiecewiseProfile, eps_list,
     The study stops at the first run that does not complete (collision,
     guard), whether the base run or a perturbed one: that run ends
     table.runs and gets no row, so every row compares two full grids.
-    The base run validates s; the perturbed runs rely on that check.
+    s is validated and, in strict mode, every scale checked for
+    admissibility before the base run, so a refused study runs nothing.
     """
     eps_values = sorted({float(e) for e in eps_list}, reverse=True)
     if not eps_values:
         raise ValueError("eps_list must be non-empty")
-    base = simulate(s)
+    _validate(s)
+    _check_admissible(s, g, eps_values, strict)
+    base = simulate(s, validate=False)
     runs, rows = [base], []
     if base.status is SolveStatus.COMPLETED:
         _, xi_base, zeta_base = pair_signals(base.trajectory, follower)
         for eps in eps_values:
-            res = base if eps == 0.0 else _run_perturbed(s, PerturbationSpec(g, eps), strict)
+            res = base if eps == 0.0 else simulate(
+                perturbed_scenario(s, PerturbationSpec(g, eps)), validate=False)
             runs.append(res)
             if res.status is not SolveStatus.COMPLETED:
                 break

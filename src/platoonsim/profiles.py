@@ -28,6 +28,11 @@ __all__ = ["Segment", "PiecewiseProfile", "constant_profile", "profile_from_tabl
 _RAMP_SERIES = tuple((-1.0) ** n / math.factorial(n + 2) for n in range(9, -1, -1))
 
 
+# Halvings of one segment after which an enclosure piece that is still
+# undecided is given up.
+_ENCLOSURE_DEPTH = 40
+
+
 def exp_ramp_weight(x: np.ndarray) -> np.ndarray:
     """(x - 1 + e^{-x}) / x^2 elementwise for x >= 0, accurate as x -> 0.
 
@@ -95,6 +100,11 @@ class Segment:
                 rate * np.sin(arg) - omega * np.cos(arg) - decay * at_t0)
         return y
 
+    def derivative_bound(self, order: int) -> float:
+        """Bound on |d^order value / dt^order| over the segment, order 1 or 2."""
+        bound = abs(self.slope) if order == 1 else 0.0
+        return bound + sum(abs(amp * omega ** order) for amp, omega, _ in self.sines)
+
     def rebased(self, t0: float, t1: float) -> "Segment":
         """Same function restricted to [t0, t1] with coefficients rebased to t0."""
         shift = t0 - self.t0
@@ -121,8 +131,8 @@ class PiecewiseProfile:
     """A contiguous chain of segments defining a function of time.
 
     Evaluation outside [start, end] clamps to the nearest endpoint; range
-    enforcement is the caller's concern (scenario validation does it on a
-    dense grid).
+    enforcement is the caller's concern (scenario validation does it with
+    range_exit's enclosures).
     """
 
     segments: tuple[Segment, ...]
@@ -159,12 +169,7 @@ class PiecewiseProfile:
         return tuple(acc)
 
     def _locate(self, t: float) -> int:
-        i = bisect_right(self._starts, t) - 1
-        if i < 0:
-            return 0
-        if i >= len(self.segments):
-            return len(self.segments) - 1
-        return i
+        return max(bisect_right(self._starts, t) - 1, 0)
 
     def value(self, t: float) -> float:
         if t <= self.start:
@@ -189,70 +194,71 @@ class PiecewiseProfile:
         total += self.segments[ib].integral(self.segments[ib].t0, b)
         return total
 
-    def values(self, ts: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation (used by the dense validation grid)."""
-        ts = np.asarray(ts, dtype=float)
-        out = np.empty_like(ts)
-        clamped = np.clip(ts, self.start, self.end)
-        for idx, seg in enumerate(self.segments):
-            if idx == len(self.segments) - 1:
-                mask = (clamped >= seg.t0) & (clamped <= seg.t1)
-            else:
-                mask = (clamped >= seg.t0) & (clamped < seg.t1)
-            if not mask.any():
-                continue
-            dt = clamped[mask] - seg.t0
-            v = seg.const + seg.slope * dt
-            for amp, om, ph in seg.sines:
-                v = v + amp * np.sin(om * dt + ph)
-            out[mask] = v
-        return out
+    def _pieces(self, a: float, b: float, decided, f=None):
+        """Split [a, b] into pieces (seg, p, q, f(p), f(q), r, ok), left to right.
 
-    def integrals_from_start(self, ts: np.ndarray) -> np.ndarray:
-        """Vectorized exact integral from self.start to each t."""
-        ts = np.asarray(ts, dtype=float)
-        out = np.empty_like(ts)
-        clamped = np.clip(ts, self.start, self.end)
-        for idx, seg in enumerate(self.segments):
-            if idx == len(self.segments) - 1:
-                mask = (clamped >= seg.t0) & (clamped <= seg.t1)
-            else:
-                mask = (clamped >= seg.t0) & (clamped < seg.t1)
-            if not mask.any():
+        f is the profile itself (None) or an antiderivative of it; on each
+        segment |f''| <= m2, its derivative bound of order 2 or 1. Then f on
+        [p, q] stays within r = m2 (q - p)^2 / 8 of its chord, so inside
+        [min(f(p), f(q)) - r, max(f(p), f(q)) + r]. A piece is halved until
+        ok = decided(f(p), f(q), r) holds or it lies _ENCLOSURE_DEPTH halvings
+        below its segment (or is too short to halve). The radius is second
+        order, so a function that only touches a bound costs O(depth) pieces.
+        """
+        for seg in self.segments:
+            p, end = max(a, seg.t0), min(b, seg.t1)
+            if not p < end:
                 continue
-            dt = clamped[mask] - seg.t0
-            part = seg.const * dt + 0.5 * seg.slope * dt * dt
-            for amp, om, ph in seg.sines:
-                if om == 0.0:
-                    part = part + amp * math.sin(ph) * dt
+            g, m2 = (seg.value, seg.derivative_bound(2)) if f is None else (f, seg.derivative_bound(1))
+            fp = g(p)
+            pending = [(end, g(end), 0)]  # right ends still to cover, nearest last
+            while pending:
+                q, fq, depth = pending[-1]
+                r = m2 * (q - p) ** 2 / 8.0
+                ok = decided(fp, fq, r)
+                m = 0.5 * (p + q)
+                if ok or depth == _ENCLOSURE_DEPTH or not p < m < q:
+                    yield seg, p, q, fp, fq, r, ok
+                    pending.pop()
+                    p, fp = q, fq
                 else:
-                    part = part + amp * (math.cos(ph) - np.cos(om * dt + ph)) / om
-            out[mask] = self._prefix[idx] + part
-        return out
+                    pending[-1] = (q, fq, depth + 1)
+                    pending.append((m, g(m), depth + 1))
+
+    def range_exit(self, a: float, b: float, lo: float, hi: float, f=None):
+        """Where the profile (or f, an antiderivative of it) leaves [lo, hi] on [a, b].
+
+        None if it provably stays inside. Otherwise (t, t, f(t)) for the first
+        evaluated point outside, or (p, q, None) for a piece [p, q] that is
+        still undecided at the depth cap.
+        """
+        def decided(fp, fq, r):
+            return not lo <= fp <= hi or (lo <= min(fp, fq) - r and max(fp, fq) + r <= hi)
+
+        for _, p, q, fp, fq, _, ok in self._pieces(a, b, decided, f):
+            if not lo <= fp <= hi:
+                return p, p, fp
+            if not ok:
+                return (q, q, fq) if not lo <= fq <= hi else (p, q, None)
+        return None
 
     def l1_norm(self, a: float | None = None, b: float | None = None) -> float:
-        """Quadrature of |value| over [a, b] (composite Simpson per segment).
+        """Integral of |value| over [a, b]: an upper bound, within rounding of it.
 
-        Deterministic by construction: a fixed 8192 subintervals per segment,
-        no adaptivity.
+        The span is split into pieces on which the sign provably cannot
+        change, and each adds |Segment.integral| exactly; a piece still
+        undecided at the depth cap (one that holds a zero) adds its width
+        times its sup |value| bound.
         """
         a = self.start if a is None else a
         b = self.end if b is None else b
+        def sign_fixed(fp, fq, r):
+            return min(fp, fq) - r >= 0.0 or max(fp, fq) + r <= 0.0
+
         total = 0.0
-        for seg in self.segments:
-            lo = max(a, seg.t0)
-            hi = min(b, seg.t1)
-            if hi <= lo:
-                continue
-            ts = np.linspace(lo, hi, 8193)
-            dt = ts - seg.t0
-            v = seg.const + seg.slope * dt
-            for amp, om, ph in seg.sines:
-                v = v + amp * np.sin(om * dt + ph)
-            y = np.abs(v)
-            h = (hi - lo) / 8192
-            total += (h / 3.0) * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
-        return float(total)
+        for seg, p, q, fp, fq, r, ok in self._pieces(a, b, sign_fixed):
+            total += abs(seg.integral(p, q)) if ok else (q - p) * (max(abs(fp), abs(fq)) + r)
+        return total
 
     def scaled(self, factor: float) -> "PiecewiseProfile":
         return PiecewiseProfile(tuple(seg.scaled(factor) for seg in self.segments))

@@ -80,7 +80,11 @@ class PerturbStudyConfig:
     normalize: bool = False
 
     def resolved_g(self, T: float) -> PiecewiseProfile:
-        """The shape actually used: L1-normalized on [0, T] when requested."""
+        """The shape actually used: L1-normalized on [0, T] when requested.
+
+        l1_norm is an upper bound, so the normalized shape's norm is at most
+        1 up to rounding.
+        """
         if not self.normalize:
             return self.g
         norm = self.g.l1_norm(0.0, T)

@@ -61,7 +61,11 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
 def read_trajectory_csv(path) -> Trajectory:
     """Rebuild a trajectory from its CSV. Collision metadata is not stored
-    in the file, so the result always carries collision=None."""
+    in the file, so the result always carries collision=None.
+
+    Raises ValueError unless every value is finite, every branch code is 0,
+    1 or 2, and each h_i equals x_{i-1} - x_i bit for bit, as written.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -75,22 +79,24 @@ def read_trajectory_csv(path) -> Trajectory:
         raise ValueError(f"{path}: unexpected header {header!r}")
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    m = len(rows)
-    times = np.empty(m)
-    positions = np.empty((m, n))
-    velocities = np.empty((m, n))
-    branches = np.zeros((m, n - 1), dtype=np.int8)
     for r, row in enumerate(rows):
         if len(row) != len(expected):
             raise ValueError(f"{path}: row {r + 2} has {len(row)} fields, expected {len(expected)}")
-        times[r] = float(row[0])
-        for i in range(n):
-            positions[r, i] = float(row[1 + 2 * i])
-            velocities[r, i] = float(row[2 + 2 * i])
-        for i in range(n - 1):
-            branches[r, i] = int(row[1 + 2 * n + (n - 1) + i])
-    return Trajectory(times=times, positions=positions, velocities=velocities,
-                      branches=branches, collision=None)
+    data = np.array(rows, dtype=float)
+    positions, velocities = data[:, 1:2 * n + 1:2], data[:, 2:2 * n + 1:2]
+    branches = data[:, 3 * n:]
+    checks = (
+        (np.isfinite(data), "a value that is not finite"),
+        (np.isin(branches, (0, 1, 2)), "a branch code outside {0, 1, 2}"),
+        (data[:, 2 * n + 1:3 * n] == positions[:, :-1] - positions[:, 1:],
+         "a headway h_i that is not x_{i-1} - x_i"),
+    )
+    for ok, what in checks:
+        if not ok.all():
+            raise ValueError(f"{path}: row {int(np.argmin(ok.all(axis=1))) + 2} has {what}")
+    return Trajectory(times=data[:, 0].copy(), positions=positions.copy(),
+                      velocities=velocities.copy(), branches=branches.astype(np.int8),
+                      collision=None)
 
 
 def write_cert_report_csv(report: CertReport, path) -> None:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import sys
 
 import pytest
@@ -134,6 +135,24 @@ class TestBadInput:
         assert "invalid scenario" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line, field", [
+        ("u = 0 100 sin 1.0 1.5 {omega!r} 0", "controls.u_1: value "),
+        ("profile = 0 100 sin 0.0 {amp!r} {omega!r} 0", "leader: leader velocity "),
+    ], ids=["control", "leader_speed"])
+    def test_excursion_between_old_grid_points_refused(self, tmp_path, capsys, line, field):
+        """fig1_left with a sine whose period is the spacing of the former
+        10 000-point validation grid: the peak (2.5) is never sampled there."""
+        omega = 2.0 * math.pi / (100.0 / 9999)
+        text = preset_text("fig1_left")
+        old = "u = 0 100 const 1.9" if line.startswith("u") else "profile = 0 100 const 0.0"
+        cfg = tmp_path / "alias.ini"
+        cfg.write_text(text.replace(old, line.format(omega=omega, amp=0.75 * omega)),
+                       encoding="utf-8")
+        out = tmp_path / "o"
+        assert run("simulate", "--config", str(cfg), "--out", str(out)) == 3
+        assert f"invalid scenario: {field}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run("--version")
@@ -203,6 +222,29 @@ class TestEnvelope:
         assert "is not a run of this scenario" in captured.err
         assert "FAIL" not in captured.out
 
+    @pytest.mark.parametrize("column, value, reason", [
+        ("v_0", "nan", "a value that is not finite"),
+        ("t", "50.0", "the time 50.0 at grid point 499 is not the dt grid's 4.99"),
+        ("branch_1", "300", "a branch code outside {0, 1, 2}"),
+        ("h_1", "123.0", "a headway h_i that is not x_{i-1} - x_i"),
+    ], ids=["nan_velocity", "time_off_grid", "branch_code", "headway_column"])
+    def test_check_only_rejects_malformed_trajectory(self, tmp_path, capsys, column, value, reason):
+        """One tampered cell of fig4's own output: exit 3 with the reason on
+        stderr, nothing certified and no traceback."""
+        assert run("envelope", "--preset", "fig4", "--out", str(tmp_path)) == 0
+        capsys.readouterr()
+        path = tmp_path / "trajectory.csv"
+        lines = path.read_text().splitlines()
+        cells = lines[500].split(",")
+        cells[lines[0].split(",").index(column)] = value
+        lines[500] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = run("envelope", "--preset", "fig4", "--out", str(tmp_path), "--check-only")
+        captured = capsys.readouterr()
+        assert code == 3
+        assert reason in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_check_only_without_trajectory(self, tmp_path, capsys):
         out = tmp_path / "o"
         code = run("envelope", "--preset", "fig4", "--out", str(out), "--check-only")
@@ -235,10 +277,11 @@ class TestPerturb:
         assert manifest["eps_admissible_max"] == pytest.approx(0.6)
 
     def test_strict_override_rejects_overscale(self, tmp_path, capsys):
-        code = run("perturb", "--preset", "fig5", "--out", str(tmp_path),
-                   "--strict-eps", "true")
+        out = tmp_path / "o"
+        code = run("perturb", "--preset", "fig5", "--out", str(out), "--strict-eps", "true")
         assert code == 3
         assert "admissible scale" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_stopped_run_ends_the_study(self, tmp_path, capsys, fig5_guard_trip_text):
         cfg = tmp_path / "trip.ini"

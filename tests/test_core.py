@@ -1,5 +1,6 @@
 """Domain types, scenario validation, and the small state helpers."""
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -18,7 +19,7 @@ from platoonsim import (
     leader_velocity,
     validate_scenario,
 )
-from platoonsim import integrator
+from platoonsim import integrator, profiles
 from platoonsim.profiles import PiecewiseProfile, Segment
 
 
@@ -33,6 +34,13 @@ def two_car_scenario(params, *, x=(5.0, 0.0), v=(1.0, 0.0), horizon=100.0,
         controls=(constant_profile(u_value, 0.0, horizon),),
         horizon=horizon,
     )
+
+
+def _witness(message: str, head: str, middle: str) -> tuple[float, float]:
+    """(value, t) from a diagnostic of the form head + value + middle + t."""
+    assert message.startswith(head) and middle in message
+    value, t = message[len(head):].split(middle)
+    return float(value), float(t)
 
 
 class TestValidateScenario:
@@ -54,7 +62,7 @@ class TestValidateScenario:
         assert any(d.field == "leader" and "exceeds" in d.message for d in diags)
         # plain floats, not numpy reprs such as np.float64(2.0001...)
         assert [d.message for d in diags] == [
-            "leader velocity 2.0001000100010002 exceeds v_bar=2.0 at t=10.001000100010002"]
+            "leader velocity 2.000000000003638 exceeds v_bar=2.0 at t=10.00000000003638"]
 
     def test_backward_leader_detected(self, reference_params):
         s = two_car_scenario(reference_params,
@@ -62,7 +70,7 @@ class TestValidateScenario:
         diags = validate_scenario(s)
         assert any("negative" in d.message for d in diags)
         assert [d.message for d in diags] == [
-            "leader velocity -0.00010001000100023916 negative at t=10.001000100010002"]
+            "leader velocity -3.637978807091713e-12 negative at t=10.00000000003638"]
 
     def test_bad_gains_flagged(self, reference_params):
         s = two_car_scenario(replace(reference_params, k_v=-1.0))
@@ -81,20 +89,62 @@ class TestValidateScenario:
 
     def test_broadcast_out_of_range_control_reports_every_follower(
             self, reference_params, monkeypatch):
-        """A sweep shares one control object among all followers: it is sampled
+        """A sweep shares one control object among all followers: it is enclosed
         once and still reported once per follower, like distinct copies."""
         calls = []
-        values = PiecewiseProfile.values
-        monkeypatch.setattr(PiecewiseProfile, "values", lambda p, ts: calls.append(p) or values(p, ts))
+        range_exit = PiecewiseProfile.range_exit
+        monkeypatch.setattr(PiecewiseProfile, "range_exit",
+                            lambda p, *args: calls.append(p) or range_exit(p, *args))
         s = replace(two_car_scenario(reference_params),
                     initial=PlatoonState(tuple(VehicleState(15.0 - 5.0 * i, 1.0) for i in range(4))))
         shared = constant_profile(0.05, 0.0, 100.0)  # below u_min = 0.1
         diags = validate_scenario(replace(s, controls=(shared,) * 3))
-        assert len(calls) == 1
+        assert sum(p is shared for p in calls) == 1
         copies = tuple(constant_profile(0.05, 0.0, 100.0) for _ in range(3))
         assert diags == validate_scenario(replace(s, controls=copies))
         assert [d.field for d in diags] == ["controls.u_1", "controls.u_2", "controls.u_3"]
         assert len({d.message for d in diags}) == 1 and "outside [u_min, u_max]" in diags[0].message
+
+    def test_aliased_control_excursion_refused(self, fig1_left_scenario):
+        """A sine whose period is the old 10 000-point grid spacing peaks at 2.5
+        between every pair of samples; the enclosure finds a point above u_max."""
+        omega = 2.0 * math.pi / (100.0 / 9999)
+        u = PiecewiseProfile((Segment(0.0, 100.0, const=1.0, sines=((1.5, omega, 0.0),)),))
+        diags = validate_scenario(replace(fig1_left_scenario, controls=(u,)))
+        assert [d.field for d in diags] == ["controls.u_1"]
+        value, t = _witness(diags[0].message, "value ", " outside [u_min, u_max] at t=")
+        assert value == u.segments[0].value(t) > 1.95
+
+    def test_aliased_leader_excursion_refused(self, fig1_left_scenario):
+        """v_l = 1 + 0.75 (1 - cos(omega t)) is 1 on the old grid and peaks at 2.5."""
+        omega = 2.0 * math.pi / (100.0 / 9999)
+        accel = PiecewiseProfile((Segment(0.0, 100.0, sines=((0.75 * omega, omega, 0.0),)),))
+        s = replace(fig1_left_scenario, leader=LeaderProfile(accel, 1.0))
+        diags = validate_scenario(s)
+        assert [d.field for d in diags] == ["leader"]
+        value, t = _witness(diags[0].message, "leader velocity ", " exceeds v_bar=2.0 at t=")
+        assert value == leader_velocity(s.leader, t) > 2.0
+
+    def test_tangent_control_decided_within_depth_cap(self, fig1_left_scenario, monkeypatch):
+        """1.45 + 0.5 sin(t) touches u_max = 1.95 sixteen times on [0, 100]; the
+        second-order radius settles each touch in O(depth) pieces."""
+        calls = []
+        value = Segment.value
+        monkeypatch.setattr(Segment, "value", lambda seg, t: calls.append(t) or value(seg, t))
+        u = PiecewiseProfile((Segment(0.0, 100.0, const=1.45, sines=((0.5, 1.0, 0.0),)),))
+        assert validate_scenario(replace(fig1_left_scenario, controls=(u,))) == []
+        assert len(calls) < 16 * 2 * profiles._ENCLOSURE_DEPTH
+
+    def test_undecidable_touch_reported(self, fig1_left_scenario):
+        """At omega = 1e6 the enclosure of a touch is still wider than rounding at
+        the depth cap, and no evaluated point lies outside: cannot decide."""
+        u = PiecewiseProfile((Segment(0.0, 100.0, const=1.45, sines=((0.5, 1e6, 0.0),)),))
+        diags = validate_scenario(replace(fig1_left_scenario, controls=(u,)))
+        assert [d.field for d in diags] == ["controls.u_1"]
+        head = "cannot decide whether the value stays inside [u_min, u_max] on ["
+        assert diags[0].message.startswith(head) and diags[0].message.endswith("]")
+        p, q = map(float, diags[0].message[len(head):-1].split(", "))
+        assert q - p <= 100.0 / 2 ** profiles._ENCLOSURE_DEPTH and abs(p - math.pi / 2e6) < 1e-9
 
     def test_single_vehicle_rejected(self, reference_params):
         s = two_car_scenario(reference_params)

@@ -30,7 +30,7 @@ from platoonsim import (
     simulate,
 )
 from platoonsim import integrator
-from platoonsim.core import LeaderProfile, OvflParams
+from platoonsim.core import LeaderProfile
 from platoonsim.integrator import time_grid, trajectory_mismatches
 from platoonsim.profiles import PiecewiseProfile
 from platoonsim.scenario_io import parse_profile
@@ -252,8 +252,7 @@ def _law_accel(s, x_l, x, v_l, v, a_l, u):
         return accel_proposed(s.params, x_l, x, v_l, v, u)
     if s.model_kind is ModelKind.CACC:
         return accel_cacc(s.params, x_l, x, v_l, v, a_l, u)
-    base = s.base_params
-    return accel_ovfl(OvflParams(base.k_v, base.k_d), x_l, x, v_l, v), None
+    return accel_ovfl(s.params, x_l, x, v_l, v), None
 
 
 @st.composite

@@ -21,7 +21,6 @@ from platoonsim import (
     gamma,
     optimal_velocity,
 )
-from platoonsim.core import OvflParams
 
 
 EQ_GAP = 1.4 * 1.9
@@ -152,29 +151,25 @@ class TestOptimalVelocity:
 
 
 class TestAccelOvfl:
-    def test_wide_gap_example(self):
-        p = OvflParams(k_v=1.0, k_d=0.2)
-        a = accel_ovfl(p, 5.0, 0.0, 1.0, 0.0)
+    def test_wide_gap_example(self, reference_params):
+        a = accel_ovfl(reference_params, 5.0, 0.0, 1.0, 0.0)
         want = 1.0 / 25.0 + 0.2 * (math.tanh(3.0) + math.tanh(2.0))
         assert a == pytest.approx(want, rel=1e-14)
         assert a == pytest.approx(0.4318165, abs=1e-6)
 
-    def test_equilibrium(self):
-        p = OvflParams(k_v=1.0, k_d=0.2)
+    def test_equilibrium(self, reference_params):
         h_star = 2.5
         v_star = optimal_velocity(h_star)
-        assert accel_ovfl(p, h_star, 0.0, v_star, v_star) == pytest.approx(0.0, abs=1e-15)
+        assert accel_ovfl(reference_params, h_star, 0.0, v_star, v_star) == pytest.approx(0.0, abs=1e-15)
 
-    def test_relaxation_only(self):
-        p = OvflParams(k_v=1.0, k_d=0.2)
-        a = accel_ovfl(p, 2.0, 0.0, 1.0, 1.0)
+    def test_relaxation_only(self, reference_params):
+        a = accel_ovfl(reference_params, 2.0, 0.0, 1.0, 1.0)
         assert a == pytest.approx(0.2 * (math.tanh(2.0) - 1.0), rel=1e-14)
         assert a == pytest.approx(-0.0071945, abs=1e-6)
 
-    def test_nonpositive_headway_rejected(self):
-        p = OvflParams(k_v=1.0, k_d=0.2)
+    def test_nonpositive_headway_rejected(self, reference_params):
         with pytest.raises(ValueError):
-            accel_ovfl(p, 1.0, 1.0, 1.0, 1.0)
+            accel_ovfl(reference_params, 1.0, 1.0, 1.0, 1.0)
 
 
 def test_tie_tolerance_band(reference_params):

@@ -24,6 +24,7 @@ from platoonsim import (
     perturbed_simulate,
     simulate,
 )
+from platoonsim import perturbation
 
 
 def make_scenario(params, *, leader_v0=1.0, horizon=10.0):
@@ -166,6 +167,13 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError):
             convergence_study(make_scenario(reference_params), fig5_g, [])
 
+    def test_inadmissible_scale_refused_before_any_run(self, fig5_parsed, fig5_g, monkeypatch):
+        calls = []
+        monkeypatch.setattr(perturbation, "simulate", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="exceeds the admissible scale"):
+            convergence_study(fig5_parsed.scenario, fig5_g, [0.1, 1.0], strict=True)
+        assert calls == []
+
     def test_table_rejects_misordered_rows(self):
         with pytest.raises(ValueError):
             ConvergenceTable((ConvergenceRow(0.1, 1.0), ConvergenceRow(0.5, 2.0)))
@@ -178,9 +186,10 @@ class TestConvergenceStudy:
         assert [r.eps for r in table.rows] == [1.0, 0.5, 0.1, 0.05, 0.01]
         assert len(table.runs) == 6  # base, then one run per row
         assert all(r.status is SolveStatus.COMPLETED for r in table.runs)
-        # frozen from this implementation at dt = 0.01
-        want = [0.29143975759453294, 0.14359313129635304, 0.02835436882716199,
-                0.014153634830182005, 0.002826934491694136]
+        # frozen from this implementation at dt = 0.01, g normalized by the
+        # sign-split L1 norm
+        want = [0.29143972071485075, 0.14359311335002262, 0.028354365325508092,
+                0.014153633085110421, 0.0028269341435921067]
         assert d == pytest.approx(want, rel=1e-9)
         assert all(b < a for a, b in zip(d, d[1:]))
         # the small-eps response is linear: d/eps is nearly flat at the bottom

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from platoonsim import PiecewiseProfile, Segment, constant_profile, profile_from_table
+from platoonsim import (
+    PiecewiseProfile,
+    Segment,
+    constant_profile,
+    parse_profile,
+    profile_from_table,
+)
 from platoonsim.profiles import exp_ramp_weight
 
 
@@ -85,26 +91,6 @@ class TestPiecewiseProfile:
         p = constant_profile(0.3, 0.0, 10.0)
         assert p.integrate(8.0, 2.0) == pytest.approx(-1.8, rel=1e-14)
 
-    def test_integrals_from_start_matches_scalar(self):
-        p = PiecewiseProfile((
-            Segment(0, 4, const=0.05, slope=0.01),
-            Segment(4, 9, const=-0.02, sines=((0.1, 1.0, 0.3),)),
-        ))
-        ts = np.linspace(0.0, 9.0, 37)
-        vec = p.integrals_from_start(ts)
-        for t, got in zip(ts, vec):
-            assert got == pytest.approx(p.integrate(0.0, t), abs=1e-13)
-
-    def test_values_matches_scalar(self):
-        p = PiecewiseProfile((
-            Segment(0, 4, const=0.05, slope=0.01),
-            Segment(4, 9, const=-0.02, sines=((0.1, 1.0, 0.3),)),
-        ))
-        ts = np.linspace(-1.0, 10.0, 53)
-        vec = p.values(ts)
-        for t, got in zip(ts, vec):
-            assert got == p.value(t)
-
     def test_l1_norm_constant(self):
         assert constant_profile(-0.05, 0.0, 60.0).l1_norm() == pytest.approx(3.0, rel=1e-12)
 
@@ -112,6 +98,16 @@ class TestPiecewiseProfile:
         # |t - 1| on [0, 2] integrates to 1
         p = ramp(0.0, 2.0, -1.0, 1.0)
         assert p.l1_norm() == pytest.approx(1.0, rel=1e-6)
+
+    def test_l1_norm_of_a_fast_sine(self):
+        """Fixed-grid Simpson aliased this to 3.647; the sign-split norm matches
+        the closed form, 2/omega per half period plus the last partial one."""
+        omega = 257.36
+        halves = math.floor(100.0 * omega / math.pi)
+        exact = (2.0 * halves + 1.0 - math.cos(100.0 * omega - halves * math.pi)) / omega
+        got = parse_profile("0 100 sin 0 1 257.36 0").l1_norm(0.0, 100.0)
+        assert exact * (1.0 - 1e-12) <= got <= exact * (1.0 + 1e-12)
+        assert got == pytest.approx(63.66, abs=0.01)
 
     def test_scaled(self):
         p = ramp(0.0, 2.0, 1.0, 3.0)
@@ -189,3 +185,73 @@ def test_integral_additivity(values, frac):
     whole = p.integrate(a, c)
     split = p.integrate(a, b) + p.integrate(b, c)
     assert split == pytest.approx(whole, abs=1e-12)
+
+
+# Random const, ramp and sine segments on contiguous spans, for the
+# enclosure routine's differential tests against dense evaluation.
+_segment_shapes = st.tuples(
+    st.sampled_from(["const", "ramp", "sine"]),
+    st.floats(min_value=0.5, max_value=5.0),
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.floats(min_value=-0.5, max_value=0.5),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=5.0),
+    st.floats(min_value=0.0, max_value=2.0 * math.pi),
+)
+
+
+def _random_profile(shapes) -> PiecewiseProfile:
+    segs, t0 = [], 0.0
+    for kind, length, const, slope, amp, omega, phase in shapes:
+        segs.append(Segment(t0, t0 + length, const=const,
+                            slope=slope if kind == "ramp" else 0.0,
+                            sines=((amp, omega, phase),) if kind == "sine" else ()))
+        t0 += length
+    return PiecewiseProfile(tuple(segs))
+
+
+@given(st.lists(_segment_shapes, min_size=1, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_l1_norm_against_fine_integral_sums(shapes):
+    """sum |integral| over a fine split is a lower bound of the L1 norm; it
+    misses at most 2 w sup|f| <= 2 M1 w^2 per piece that holds a zero, and a
+    segment has at most omega * length / pi + 3 zeros."""
+    p = _random_profile(shapes)
+    lower = slack = 0.0
+    for seg in p.segments:
+        n = 4000
+        w = (seg.t1 - seg.t0) / n
+        cuts = [seg.t0 + k * w for k in range(n)] + [seg.t1]
+        lower += sum(abs(seg.integral(a, b)) for a, b in zip(cuts[:-1], cuts[1:]))
+        zeros = max((om for _, om, _ in seg.sines), default=0.0) * (seg.t1 - seg.t0) / math.pi + 3
+        slack += 2.0 * seg.derivative_bound(1) * w * w * zeros
+    got = p.l1_norm()
+    rounding = 1e-12 * (1.0 + lower)
+    assert lower - rounding <= got <= lower + slack + rounding
+
+
+@given(st.lists(_segment_shapes, min_size=1, max_size=3),
+       st.floats(min_value=0.0, max_value=0.6), st.floats(min_value=0.0, max_value=0.6),
+       st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_range_exit_finds_every_sampled_violation(shapes, cut_lo, cut_hi, integrated):
+    """Whenever dense evaluation finds a point outside [lo, hi], range_exit
+    reports a point outside too; a reported point is always really outside.
+    The range trims cut_lo and cut_hi of the sampled span off each end, so
+    interior peaks often break it. integrated=True checks the running
+    integral, as for leader speed."""
+    p = _random_profile(shapes)
+    if integrated:
+        f = lambda t: 0.5 + p.integrate(p.start, t)
+        samples = [f(t) for t in np.linspace(p.start, p.end, 8001)]
+    else:
+        f = None
+        samples = [seg.value(t) for seg in p.segments for t in np.linspace(seg.t0, seg.t1, 2001)]
+    low, high = min(samples), max(samples)
+    lo, hi = low + cut_lo * (high - low), high - cut_hi * (high - low)
+    found = p.range_exit(p.start, p.end, lo, hi, f)
+    if found is not None and found[2] is not None:
+        t, t_again, v = found
+        assert t == t_again and not lo <= v <= hi
+    if any(not lo <= v <= hi for v in samples):
+        assert found is not None and found[2] is not None
