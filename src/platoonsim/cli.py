@@ -198,7 +198,10 @@ def cmd_compare(args) -> int:
         v = traj.velocities[:, 1]
         terminal_v = float(v[-1])
         u_of_t = variant.controls[0]
-        in_band = abs(v - [u_of_t.value(float(t)) for t in traj.times]) < 0.01
+        u = u_of_t.is_constant()
+        if u is None:
+            u = [u_of_t.value(float(t)) for t in traj.times]
+        in_band = abs(v - u) < 0.01
         t_band = fmt(traj.times[int(in_band.nonzero()[0][0])]) if in_band.any() else "-"
         summary_rows.append([
             name, res.status.value, fmt(float(h.min())),

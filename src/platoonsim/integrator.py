@@ -22,6 +22,7 @@ the box (CACC can brake through zero speed) is an observable result there.
 
 from __future__ import annotations
 
+import ast
 import linecache
 import math
 import re
@@ -148,32 +149,48 @@ def _uses(body: str, name: str) -> bool:
     return re.search(rf"\b{name}\b", body) is not None
 
 
-def _platoon_pass(body: str, state, store, track: bool) -> list[str]:
-    """Source lines of one pass over the platoon.
+def _platoon_pass(body: str, state, store, track: bool, sfx: str = ""):
+    """Source lines (head, loop body) of one pass over the platoon.
 
     state(idx) is the expression of state component idx at this stage and
     store(idx, value) the line that keeps derivative component idx. track adds
-    deriv's minimum-headway and branch-gap bookkeeping.
+    deriv's minimum-headway and branch-gap bookkeeping. sfx renames every
+    local of the pass, so that two passes can share one follower loop.
     """
     chained = _uses(body, "ap")
-    lines = [f"xp = {state('0')}", f"vp = {state('1')}", store("0", "vp"), store("1", "a_l")]
-    lines += ["ap = a_l"] * chained + ["j = 2", "for i in range(1, n):"]
+    head = [f"xp = {state('0')}", f"vp = {state('1')}", store("0", "vp"), store("1", "a_l")]
+    head += ["ap = a_l"] * chained
     loop = [f"x = {state('j')}", f"v = {state('j + 1')}"]
     loop += ["u = us[i - 1]"] * _uses(body, "u") + body.splitlines()
     if track:
         loop += ["if hh < minh:", "    minh = hh", "    mi = i"]
         loop += ["phi[i - 1] = g - c"] * _uses(body, "g")
     loop += [store("j", "v"), store("j + 1", "a"), "xp = x", "vp = v"]
-    loop += ["ap = a"] * chained + ["j += 2"]
-    return lines + ["    " + line for line in loop]
+    loop += ["ap = a"] * chained
+    if sfx:
+        names = {"x", "v", "xp", "vp", "ap", "u", "us", "a_l"} | {
+            node.id for node in ast.walk(ast.parse(body))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+        pattern = re.compile(rf"\b({'|'.join(names)})\b")
+        head, loop = ([pattern.sub(rf"\1{sfx}", line) for line in lines] for lines in (head, loop))
+    return head, loop
+
+
+def _loop(*passes: tuple[list[str], list[str]]) -> list[str]:
+    """The passes' heads, then one follower loop running their bodies in turn."""
+    lines = [line for head, _ in passes for line in head] + ["j = 2", "for i in range(1, n):"]
+    return lines + ["    " + line for _, loop in passes for line in loop] + ["    j += 2"]
 
 
 def _kernel_source(body: str) -> str:
-    """deriv(t, y) and the fused rk4(t, y, h, k1) of one law body.
+    """deriv(t, y) and the fused RK4 step(t, y, h, k1, t_end) of one law body.
 
-    rk4 forms each stage state in the follower loop that evaluates the law,
+    step forms each stage state in the follower loop that evaluates the law,
     and its last stage folds in the RK4 combine, so a step makes no stage
-    lists beyond k2 and k3. The stages write neither phi nor minh.
+    lists beyond k2 and k3. The stages write neither phi nor minh. The
+    stage-4 loop also evaluates the law, renamed, at each end state as soon
+    as the follower's is formed, so step is RK4 followed by deriv(t_end, ·)
+    and returns (y_end, f_end).
     """
     def stage(k, s):
         return lambda idx: f"y[{idx}] + {s} * {k}[{idx}]"
@@ -185,17 +202,23 @@ def _kernel_source(body: str) -> str:
         return (f"out[{idx}] = y[{idx}] + h * (k1[{idx}] + 2.0 * (k2[{idx}] + k3[{idx}])"
                 f" + {value}) / 6.0")
 
-    deriv = ["out = [0.0] * size", "a_l, us = forcing(t)", "minh = inf", "mi = 1",
-             *_platoon_pass(body, lambda idx: f"y[{idx}]", into("out"), True),
-             "eng.minh = minh", "eng.minh_idx = mi", "return out"]
-    rk4 = ["half = 0.5 * h", "a_l, us = forcing(t + half)",
-           "k2 = [0.0] * size", *_platoon_pass(body, stage("k1", "half"), into("k2"), False),
-           "k3 = [0.0] * size", *_platoon_pass(body, stage("k2", "half"), into("k3"), False),
-           "a_l, us = forcing(t + h)",
-           "out = [0.0] * size", *_platoon_pass(body, stage("k3", "h"), combine, False),
-           "return out"]
+    def at(k):
+        return lambda idx: f"{k}[{idx}]"
+
+    track = ["minh = inf", "mi = 1"]
+    report = ["eng.minh = minh", "eng.minh_idx = mi"]
+    deriv = ["out = [0.0] * size", "a_l, us = forcing(t)", *track,
+             *_loop(_platoon_pass(body, at("y"), into("out"), True)), *report, "return out"]
+    step = ["half = 0.5 * h", "a_l, us = forcing(t + half)",
+            "k2 = [0.0] * size", *_loop(_platoon_pass(body, stage("k1", "half"), into("k2"), False)),
+            "k3 = [0.0] * size", *_loop(_platoon_pass(body, stage("k2", "half"), into("k3"), False)),
+            "a_l, us = forcing(t + h)", "a_l_e, us_e = forcing(t_end)",
+            "out = [0.0] * size", "f = [0.0] * size", *track,
+            *_loop(_platoon_pass(body, stage("k3", "h"), combine, False),
+                   _platoon_pass(body, at("out"), into("f"), True, "_e")),
+            *report, "return out, f"]
     return "".join(f"def {sig}:\n" + "".join(f"    {line}\n" for line in lines)
-                   for sig, lines in (("deriv(t, y)", deriv), ("rk4(t, y, h, k1)", rk4)))
+                   for sig, lines in (("deriv(t, y)", deriv), ("step(t, y, h, k1, t_end)", step)))
 
 
 # Compiled kernels by law, built on first use so that importing the package
@@ -221,11 +244,11 @@ def _kernel(kind: ModelKind):
 class _Engine:
     """Hot-path evaluation of the platoon right-hand side.
 
-    State layout is a flat list [x_0, v_0, x_1, v_1, ...]. deriv and rk4 are
-    the law's generated kernel functions. Each deriv call stashes the
-    per-follower branch gap (min-law operand difference), the minimum headway,
-    and its follower index, so event checks at accepted points cost nothing
-    extra.
+    State layout is a flat list [x_0, v_0, x_1, v_1, ...]. deriv and step
+    are the law's generated kernel functions. Each deriv or step call
+    stashes the per-follower branch gap (min-law operand difference), the
+    minimum headway, and its follower index at the point it returns, so event
+    checks at accepted points cost nothing extra.
     """
 
     def __init__(self, s: Scenario):
@@ -238,16 +261,14 @@ class _Engine:
         self.phi: list[float] = [0.0] * (self.n - 1)
         self.minh = math.inf
         self.minh_idx = 1
-        self._al_profile = s.leader.accel
-        self._al_const = s.leader.accel.is_constant()
-        self._u_profiles = s.controls if _uses(body, "u") else ()
-        self._u_consts = [u.is_constant() for u in self._u_profiles]
-        if self._al_const is not None and None not in self._u_consts:
-            fixed = (self._al_const, self._u_consts)
+        a_fixed = s.leader.accel.is_constant()
+        controls = s.controls if _uses(body, "u") else ()
+        u_fixed = [u.is_constant() for u in controls]
+        if a_fixed is not None and None not in u_fixed:
+            fixed = (a_fixed, u_fixed)
             self.forcing = lambda t: fixed
         else:
-            self._forcing_t = None
-            self.forcing = self._forcing_memo
+            self.forcing = _forcing_memo(s.leader.accel, a_fixed, controls, u_fixed)
         ns = {"kv": base.k_v, "kd": base.k_d, "kk": base.k, "ts": base.tau_s,
               "n": self.n, "size": self.size, "forcing": self.forcing, "phi": self.phi,
               "eng": self, "inf": math.inf, "tanh": math.tanh, "TANH2": TANH2,
@@ -258,24 +279,30 @@ class _Engine:
             ns.update(ka=s.params.k_a, gdd=1.0 / s.params.d - 1.0 / s.params.d_l)
         exec(_kernel(s.model_kind), ns)
         self.deriv = ns["deriv"]
-        self.rk4 = ns["rk4"]
+        self.step = ns["step"]
 
-    def _forcing_memo(self, t: float) -> tuple[float, list[float]]:
-        """Leader acceleration and follower controls at t, for time-varying profiles.
 
-        A one-entry memo on t: RK4's k2 and k3 share t + h/2, and k4 and the
-        accepted point usually share the step's end, so each profile is
-        evaluated once per distinct stage time. Controls are left out for a
-        law that does not read them.
-        """
-        if t != self._forcing_t:
-            c = self._al_const
-            a_l = c if c is not None else self._al_profile.value(t)
-            us = [uc if uc is not None else u.value(t)
-                  for uc, u in zip(self._u_consts, self._u_profiles)]
-            self._forcing_t = t
-            self._forcing_at = (a_l, us)
-        return self._forcing_at
+def _forcing_memo(accel, a_fixed, controls, u_fixed):
+    """forcing(t): leader acceleration and follower controls at t, for
+    time-varying profiles (a_fixed and u_fixed hold the constant ones' values).
+
+    A one-entry memo on t: RK4's k2 and k3 share t + h/2, and k4 and the
+    accepted point usually share the step's end, so each follower's profile
+    is evaluated once per distinct stage time.
+    """
+    a_value = accel.value
+    u_values = [u.value for u in controls] if None in u_fixed else None
+    memo_t = memo = None
+
+    def forcing(t: float) -> tuple[float, list[float]]:
+        nonlocal memo_t, memo
+        if t != memo_t:
+            us = u_fixed if u_values is None else [
+                c if c is not None else value(t) for c, value in zip(u_fixed, u_values)]
+            memo_t, memo = t, (a_fixed if a_fixed is not None else a_value(t), us)
+        return memo
+
+    return forcing
 
 
 class _RunState:
@@ -321,8 +348,7 @@ def _advance(eng: _Engine, run: _RunState, t: float, y: list[float], f,
     """
     for _ in range(_MAX_EVENTS_PER_STEP):
         try:
-            y_trial = eng.rk4(t, y, target - t, f)
-            f_trial = eng.deriv(target, y_trial)
+            y_trial, f_trial = eng.step(t, y, target - t, f, target)
             crossed = eng.minh <= 0.0
         except _Singular:
             crossed = True
@@ -339,8 +365,7 @@ def _advance(eng: _Engine, run: _RunState, t: float, y: list[float], f,
         lo, hi = _bisect(eng, run.switch_tol, t, y, f, target, signs)
         run.switch_refinements += 1
         try:
-            y_hi = eng.rk4(t, y, hi - t, f)
-            f_hi = eng.deriv(hi, y_hi)
+            y_hi, f_hi = eng.step(t, y, hi - t, f, hi)
             if eng.minh <= 0.0:
                 raise _Singular(eng.minh_idx)
         except _Singular:
@@ -367,8 +392,7 @@ def _bisect(eng: _Engine, switch_tol: float, t: float, y: list[float], f, hi: fl
     while hi - lo > switch_tol:
         mid = 0.5 * (lo + hi)
         try:
-            y_mid = eng.rk4(t, y, mid - t, f)
-            eng.deriv(mid, y_mid)
+            eng.step(t, y, mid - t, f, mid)
             hit = eng.minh <= 0.0 or (signs is not None and _flipped(signs, _signs(eng.phi)))
         except _Singular:
             hit = True
@@ -381,11 +405,19 @@ def _bisect(eng: _Engine, switch_tol: float, t: float, y: list[float], f, hi: fl
 
 def _collision(eng: _Engine, switch_tol: float, t: float, y: list[float],
                f, hi: float) -> _Collision:
-    """Locate the first infeasible/zero-headway time in (t, hi]."""
+    """Locate the first infeasible/zero-headway time in (t, hi], leaving
+    eng.phi at the located point.
+
+    The bisection moves lo only to an end point where step returned with a
+    positive headway, and step is deterministic, so neither call here raises.
+    """
     lo, _ = _bisect(eng, switch_tol, t, y, f, hi, None)
-    y_lo = y if lo == t else eng.rk4(t, y, lo - t, f)
-    hws = _headways_of(y_lo, eng.n)
-    return _Collision(lo, y_lo, 1 + hws.index(min(hws)))
+    if lo > t:
+        y, _ = eng.step(t, y, lo - t, f, lo)
+    else:
+        eng.deriv(t, y)
+    hws = _headways_of(y, eng.n)
+    return _Collision(lo, y, 1 + hws.index(min(hws)))
 
 
 def _apply_guard(eng: _Engine, guard_tol: float | None, t: float, y: list[float], f,
@@ -511,13 +543,7 @@ def simulate(s: Scenario, *, validate: bool = True) -> SolveResult:
         status = SolveStatus.COLLISION_DETECTED
         collision = (c.t, c.follower)
         if c.t > t:
-            phi_c = eng.phi[:]
-            try:
-                eng.deriv(c.t, c.y)
-                phi_c = eng.phi
-            except _Singular:
-                pass
-            times[rows], Y[rows], P[rows] = c.t, c.y, phi_c
+            times[rows], Y[rows], P[rows] = c.t, c.y, eng.phi
             rows += 1
     except _Guard as g:
         status = SolveStatus.GUARD_TRIPPED

@@ -28,6 +28,10 @@ __all__ = ["Segment", "PiecewiseProfile", "constant_profile", "profile_from_tabl
 _RAMP_SERIES = tuple((-1.0) ** n / math.factorial(n + 2) for n in range(9, -1, -1))
 
 
+# omega * width below which Segment.integral takes the product form of a sine
+# term's integral.
+_NARROW_SINE = 1e-8
+
 # Halvings of one segment after which an enclosure piece that is still
 # undecided is given up.
 _ENCLOSURE_DEPTH = 40
@@ -71,13 +75,22 @@ class Segment:
         return v
 
     def integral(self, a: float, b: float) -> float:
-        """Exact integral over [a, b], which must lie inside [t0, t1]."""
+        """Exact integral over [a, b], which must lie inside [t0, t1].
+
+        A sine term integrates to (cos(omega da + phase) - cos(omega db + phase))
+        / omega, which loses every digit to cancellation as omega (db - da)
+        goes to 0; below _NARROW_SINE it takes the product form
+        2 sin(omega (da + db) / 2 + phase) sin(omega (db - da) / 2) / omega.
+        """
         da = a - self.t0
         db = b - self.t0
         total = self.const * (db - da) + 0.5 * self.slope * (db * db - da * da)
         for amp, omega, phase in self.sines:
             if omega == 0.0:
                 total += amp * math.sin(phase) * (db - da)
+            elif abs(omega * (db - da)) < _NARROW_SINE:
+                total += (2.0 * amp * math.sin(0.5 * omega * (da + db) + phase)
+                          * math.sin(0.5 * omega * (db - da)) / omega)
             else:
                 total += amp * (math.cos(omega * da + phase) - math.cos(omega * db + phase)) / omega
         return total
@@ -99,6 +112,22 @@ class Segment:
             y = y + (amp * rate / (rate * rate + omega * omega)) * (
                 rate * np.sin(arg) - omega * np.cos(arg) - decay * at_t0)
         return y
+
+    def enclosure(self, p: float, q: float, fp: float, fq: float) -> tuple[float, float]:
+        """(low, high) around value on [p, q], given fp = value(p) and fq = value(q).
+
+        The chord radius r = M2 (q - p)^2 / 8, tightened by the Taylor bounds
+        fp + s value'(p) -+ M2 s^2 / 2 from each end, with the closed-form
+        slope: they decide a piece that leaves a bound from an end exactly on it.
+        """
+        w = q - p
+        r = self.derivative_bound(2) * w * w / 8.0
+        low, high = min(fp, fq) - r, max(fp, fq) + r
+        for f0, t, ws in ((fp, p, w), (fq, q, -w)):
+            d = ws * (self.slope + sum(amp * omega * math.cos(omega * (t - self.t0) + phase)
+                                       for amp, omega, phase in self.sines))
+            low, high = max(low, f0 + min(0.0, d - 4.0 * r)), min(high, f0 + max(0.0, d + 4.0 * r))
+        return low, high
 
     def derivative_bound(self, order: int) -> float:
         """Bound on |d^order value / dt^order| over the segment, order 1 or 2."""
@@ -157,8 +186,11 @@ class PiecewiseProfile:
         return self.segments[-1].t1
 
     @cached_property
-    def _starts(self) -> tuple[float, ...]:
-        return tuple(seg.t0 for seg in self.segments)
+    def _table(self) -> tuple:
+        """(segment starts, segments, start, end, value at start, value at end)."""
+        first, last = self.segments[0], self.segments[-1]
+        return (tuple(seg.t0 for seg in self.segments), self.segments,
+                first.t0, last.t1, first.value(first.t0), last.value(last.t1))
 
     @cached_property
     def _prefix(self) -> tuple[float, ...]:
@@ -169,14 +201,21 @@ class PiecewiseProfile:
         return tuple(acc)
 
     def _locate(self, t: float) -> int:
-        return max(bisect_right(self._starts, t) - 1, 0)
+        return max(bisect_right(self._table[0], t) - 1, 0)
 
     def value(self, t: float) -> float:
-        if t <= self.start:
-            return self.segments[0].value(self.segments[0].t0)
-        if t >= self.end:
-            return self.segments[-1].value(self.segments[-1].t1)
-        return self.segments[self._locate(t)].value(t)
+        """The profile at t, clamped to the end values outside [start, end].
+
+        This is the integrator's per-stage evaluator: one bisection in a
+        cached table, then Segment.value. The table holds only floats and
+        segments, so the profile stays picklable for sweep workers.
+        """
+        starts, segments, start, end, at_start, at_end = self._table
+        if t <= start:
+            return at_start
+        if t >= end:
+            return at_end
+        return segments[bisect_right(starts, t) - 1].value(t)
 
     def integrate(self, a: float, b: float) -> float:
         """Exact integral over [a, b] (clamped to the profile's span)."""
@@ -201,8 +240,8 @@ class PiecewiseProfile:
         segment |f''| <= m2, its derivative bound of order 2 or 1. Then f on
         [p, q] stays within r = m2 (q - p)^2 / 8 of its chord, so inside
         [min(f(p), f(q)) - r, max(f(p), f(q)) + r]. A piece is halved until
-        ok = decided(f(p), f(q), r) holds or it lies _ENCLOSURE_DEPTH halvings
-        below its segment (or is too short to halve). The radius is second
+        ok = decided(seg, p, q, f(p), f(q), r) holds or it lies _ENCLOSURE_DEPTH
+        halvings below its segment (or is too short to halve). The radius is second
         order, so a function that only touches a bound costs O(depth) pieces.
         """
         for seg in self.segments:
@@ -215,7 +254,7 @@ class PiecewiseProfile:
             while pending:
                 q, fq, depth = pending[-1]
                 r = m2 * (q - p) ** 2 / 8.0
-                ok = decided(fp, fq, r)
+                ok = decided(seg, p, q, fp, fq, r)
                 m = 0.5 * (p + q)
                 if ok or depth == _ENCLOSURE_DEPTH or not p < m < q:
                     yield seg, p, q, fp, fq, r, ok
@@ -232,8 +271,23 @@ class PiecewiseProfile:
         evaluated point outside, or (p, q, None) for a piece [p, q] that is
         still undecided at the depth cap.
         """
-        def decided(fp, fq, r):
-            return not lo <= fp <= hi or (lo <= min(fp, fq) - r and max(fp, fq) + r <= hi)
+        def decided(seg, p, q, fp, fq, r):
+            if not lo <= fp <= hi or (lo <= min(fp, fq) - r and max(fp, fq) + r <= hi):
+                return True
+            # A piece whose right end is outside stays undecided, so that end
+            # is reported. The chord radius never decides a piece with an end
+            # exactly on a bound; the end slopes do, and so does a derivative
+            # of one sign.
+            if not lo <= fq <= hi:
+                return False
+            if f is None:
+                low, high = seg.enclosure(p, q, fp, fq)
+            else:
+                d_low, d_high = seg.enclosure(p, q, seg.value(p), seg.value(q))
+                if d_low < 0.0 < d_high:
+                    return False
+                low, high = min(fp, fq), max(fp, fq)
+            return lo <= low and high <= hi
 
         for _, p, q, fp, fq, _, ok in self._pieces(a, b, decided, f):
             if not lo <= fp <= hi:
@@ -252,7 +306,7 @@ class PiecewiseProfile:
         """
         a = self.start if a is None else a
         b = self.end if b is None else b
-        def sign_fixed(fp, fq, r):
+        def sign_fixed(seg, p, q, fp, fq, r):
             return min(fp, fq) - r >= 0.0 or max(fp, fq) + r <= 0.0
 
         total = 0.0

@@ -9,7 +9,10 @@ import pytest
 
 from platoonsim import BranchFlag, convergence_study, load_preset, preset_text
 from platoonsim import core
+from platoonsim import simulate
 from platoonsim.cli import main
+from platoonsim.scenario_io import load_config
+from platoonsim.trajectory_io import fmt
 
 SWEEP_CFG = """\
 [params]
@@ -61,6 +64,17 @@ class TestSimulate:
         cfg.write_text(SWEEP_CFG, encoding="utf-8")
         code = run("simulate", "--config", str(cfg), "--out", str(tmp_path / "out"))
         assert code == 0
+
+    @pytest.mark.parametrize("profile", ["0 100 ramp 0.0 0.02", "0 100 sin 0.01 0.005 1.0 0.0"])
+    def test_leader_from_rest_with_nonnegative_acceleration(self, tmp_path, profile):
+        """The leader speed starts exactly on its lower bound 0 and never falls
+        below it: validation decides the first piece by the acceleration's sign."""
+        text = (preset_text("fig1_left").replace("velocities = 1, 0", "velocities = 0, 0")
+                .replace("v0 = 1.0", "v0 = 0.0")
+                .replace("profile = 0 100 const 0.0", f"profile = {profile}"))
+        cfg = tmp_path / "rest.ini"
+        cfg.write_text(text, encoding="utf-8")
+        assert run("simulate", "--config", str(cfg), "--out", str(tmp_path / "o")) == 0
 
     def test_dt_override_changes_grid(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -179,6 +193,24 @@ class TestCompare:
         settle = {r.split(",")[0]: float(r.split(",")[5]) for r in rows}
         assert settle["proposed"] < settle["cacc"]
         assert settle["proposed"] < settle["ovfl"]
+
+
+    def test_control_band_follows_a_time_varying_control(self, tmp_path):
+        """time_to_control_band compares each row's speed with the control at
+        that row's time."""
+        cfg = tmp_path / "varying.ini"
+        cfg.write_text(preset_text("fig1_left").replace(
+            "u = 0 100 const 1.9", "u = 0 100 sin 0.9 0.3 0.2 0.0"), encoding="utf-8")
+        out = tmp_path / "o"
+        assert run("compare", "--config", str(cfg), "--out", str(out)) == 0
+        with open(out / "summary.csv", encoding="utf-8", newline="") as fh:
+            got = {row["model"]: row["time_to_control_band"] for row in csv.DictReader(fh)}
+        s = load_config(cfg).scenario
+        u = s.controls[0]
+        traj = simulate(s).trajectory
+        t_band = next(t for t, v in zip(traj.times.tolist(), traj.velocities[:, 1].tolist())
+                      if abs(v - u.value(t)) < 0.01)
+        assert got["proposed"] == fmt(t_band)
 
 
 class TestEnvelope:

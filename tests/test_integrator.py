@@ -5,6 +5,7 @@ Golden numbers in this file were produced by the fine-step reference solver
 (reference_solve) at build time and are frozen so the tests stay fast.
 """
 
+import math
 import traceback
 from dataclasses import replace
 
@@ -218,17 +219,22 @@ class TestReferenceSolve:
             )
         assert 12.0 <= errs[0.1] / errs[0.05] <= 20.0
 
-    def test_error_decreases_across_a_switch(self, fig1_left_scenario):
-        """With a branch switch in play the order maths no longer applies
-        cleanly, but refinement must still help."""
-        ref = reference_solve(fig1_left_scenario, 1e-3)
-        rx = np.asarray(ref.trajectory.positions)
+    def test_fourth_order_through_a_branch_switch(self, fig1_left_scenario):
+        """fig1_left cut to T = 20 switches once, at t ~ 8.65. Restarting from
+        the located switch keeps the order: each halving of dt divides the
+        error by ~16 (16.6, 16.2, 16.0 and 16.1 against dt = 1e-3)."""
+        s = replace(fig1_left_scenario, horizon=20.0)
+        ref = reference_solve(s, 1e-3)
+        assert len(ref.stats.switch_events) == 1
+        rx, rv = ref.trajectory.positions, ref.trajectory.velocities
         errs = []
-        for dt in (0.1, 0.05, 0.025):
-            r = simulate(replace(fig1_left_scenario, stepper=StepperConfig(dt=dt)))
-            idx = np.round(np.asarray(r.trajectory.times) / 1e-3).astype(int)
-            errs.append(np.abs(np.asarray(r.trajectory.positions) - rx[idx]).max())
-        assert errs[0] > errs[1] > errs[2]
+        for dt in (0.4, 0.2, 0.1, 0.05, 0.025):
+            r = simulate(replace(s, stepper=StepperConfig(dt=dt)))
+            assert r.stats.switch_refinements == 1
+            idx = np.round(r.trajectory.times / 1e-3).astype(int)
+            errs.append(max(np.abs(r.trajectory.positions - rx[idx]).max(),
+                            np.abs(r.trajectory.velocities - rv[idx]).max()))
+        assert all(12.0 <= a / b <= 20.0 for a, b in zip(errs, errs[1:]))
 
 
 def test_ovfl_branches_are_all_gap_codes():
@@ -373,28 +379,43 @@ def _textbook_rk4(deriv, t, y, h, k1):
     return [yi + h * (a + 2.0 * (b + c) + d) / 6.0 for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
 
 
-def _outcome(rk4, *args):
-    """The bits of an RK4 step, or the follower of the _Singular it raised."""
+def _step_outcome(eng, step, *args):
+    """The bits of (y_end, f_end) and of the branch gaps and minimum headway
+    that a step leaves, or "singular" if it raised _Singular."""
     try:
-        return [v.hex() for v in rk4(*args)]
-    except integrator._Singular as e:
-        return ("singular", e.args)
+        y_end, f_end = step(*args)
+    except integrator._Singular:
+        return "singular"
+    return [v.hex() for v in y_end + f_end + eng.phi + [eng.minh]], eng.minh_idx
+
+
+def _textbook_step(eng):
+    def step(t, y, h, k1, t_end):
+        y_end = _textbook_rk4(eng.deriv, t, y, h, k1)
+        return y_end, eng.deriv(t_end, y_end)
+    return step
 
 
 @pytest.mark.parametrize("preset", ["fig1_left", "fig1_left_cacc", "fig1_left_ovfl"])
-@given(platoon=_platoons(min_headway=1e-4), h_frac=st.floats(1e-9, 1.0))
+@given(platoon=_platoons(min_headway=1e-4), h_frac=st.floats(1e-9, 1.0),
+       end_ulps=st.sampled_from([0, 1, -1]))
 @settings(max_examples=100, deadline=None)
-def test_fused_rk4_matches_a_textbook_rk4(preset, platoon, h_frac):
-    """The generated rk4 equals a textbook RK4 over deriv bit for bit, with a
-    time-varying leader and controls, and raises _Singular for the same
-    follower exactly when a textbook stage does."""
+def test_fused_rk4_matches_a_textbook_rk4(preset, platoon, h_frac, end_ulps):
+    """The generated step equals a textbook RK4 followed by deriv(t_end, ·)
+    bit for bit, branch gaps and minimum headway included, with a
+    time-varying leader and controls, also when t_end is an ulp off t + h (a
+    bisection's midpoint), and raises _Singular exactly when either of the
+    two does."""
     xs, vs, t = platoon
     s = _varying_scenario(preset, xs, vs)
     eng = integrator._Engine(s)
     y = [c for xv in zip(xs, vs) for c in xv]
     k1 = eng.deriv(t, y)
     h = h_frac * s.stepper.dt
-    assert _outcome(eng.rk4, t, y, h, k1) == _outcome(_textbook_rk4, eng.deriv, t, y, h, k1)
+    t_end = math.nextafter(t + h, end_ulps * math.inf) if end_ulps else t + h
+    args = (t, y, h, k1, t_end)
+    expected = _step_outcome(eng, _textbook_step(eng), *args)
+    assert _step_outcome(eng, eng.step, *args) == expected
 
 
 @pytest.mark.parametrize("preset, d, v_l, v, h_frac, stage", [
@@ -406,7 +427,7 @@ def test_fused_rk4_matches_a_textbook_rk4(preset, platoon, h_frac):
 ])
 def test_fused_rk4_raises_in_the_stage_a_textbook_rk4_raises(preset, d, v_l, v, h_frac, stage):
     """A pair d apart whose given RK4 stage state has crossed: the generated
-    rk4 raises _Singular like the textbook stage, and the traceback shows the
+    step raises _Singular like the textbook stage, and the traceback shows the
     law template's line from the registered kernel source."""
     s = replace(load_preset(preset).scenario,
                 initial=PlatoonState((VehicleState(d, v_l), VehicleState(0.0, v))))
@@ -419,7 +440,7 @@ def test_fused_rk4_raises_in_the_stage_a_textbook_rk4_raises(preset, d, v_l, v, 
         _textbook_rk4(lambda t, y: stages.append(t) or eng.deriv(t, y), 0.0, y, h, k1)
     assert len(stages) + 1 == stage
     with pytest.raises(integrator._Singular) as got:
-        eng.rk4(0.0, y, h, k1)
+        eng.step(0.0, y, h, k1, h)
     assert got.value.args == ref.value.args == (1,)
     shown = "".join(traceback.format_exception(got.value))
     assert f'File "<platoonsim kernels: {s.model_kind.value}>"' in shown
@@ -433,6 +454,6 @@ def test_one_kernel_code_object_per_law_at_any_platoon_size(preset):
         base,
         initial=PlatoonState(tuple(VehicleState(2.0 * (n - 1 - i), 1.0) for i in range(n))),
         controls=base.controls[:1] * (n - 1))) for n in (2, 64, 512)]
-    for name in ("deriv", "rk4"):
+    for name in ("deriv", "step"):
         code = getattr(engines[0], name).__code__
         assert all(getattr(e, name).__code__ is code for e in engines)

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from bisect import bisect_right
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from platoonsim import (
@@ -230,16 +232,49 @@ def test_l1_norm_against_fine_integral_sums(shapes):
     assert lower - rounding <= got <= lower + slack + rounding
 
 
+def _value_oracle(p: PiecewiseProfile, t: float) -> float:
+    """PiecewiseProfile.value by its definition: the end values outside the
+    span, else the segment found by bisecting the segment starts."""
+    first, last = p.segments[0], p.segments[-1]
+    if t <= first.t0:
+        return first.value(first.t0)
+    if t >= last.t1:
+        return last.value(last.t1)
+    starts = [seg.t0 for seg in p.segments]
+    return p.segments[max(bisect_right(starts, t) - 1, 0)].value(t)
+
+
+@given(st.lists(_segment_shapes, min_size=1, max_size=4),
+       st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=20))
+@settings(max_examples=60, deadline=None)
+def test_value_matches_its_definition_bit_for_bit(shapes, fracs):
+    """The cached-table lookup at every segment start and its neighbouring
+    floats, at interior points, and before the start and past the end."""
+    p = _random_profile(shapes)
+    cuts = [seg.t0 for seg in p.segments] + [p.end]
+    ts = [u for t in cuts for u in (math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf))]
+    ts += [p.start - 1.0, p.end + 1.0] + [p.start + f * (p.end - p.start) for f in fracs]
+    assert [p.value(t).hex() for t in ts] == [_value_oracle(p, t).hex() for t in ts]
+
+
 @given(st.lists(_segment_shapes, min_size=1, max_size=3),
        st.floats(min_value=0.0, max_value=0.6), st.floats(min_value=0.0, max_value=0.6),
        st.booleans())
+@example(shapes=[("sine", 1.0, 0.0, 0.0, 1.0, 1.0, 0.0)], cut_lo=0.0, cut_hi=0.5, integrated=False)
+@example(shapes=[("sine", 3.0, 0.1, 0.0, 1.0, 0.1, 0.0)], cut_lo=0.0, cut_hi=2.2e-16, integrated=False)
+@example(shapes=[("sine", 2.0, 0.5302551242502562, 0.0, 0.9999999999999999, 2.220446049250313e-16,
+                  3.9979466922503994)], cut_lo=0.0, cut_hi=2.220446049250313e-16, integrated=True)
 @settings(max_examples=80, deadline=None)
 def test_range_exit_finds_every_sampled_violation(shapes, cut_lo, cut_hi, integrated):
     """Whenever dense evaluation finds a point outside [lo, hi], range_exit
     reports a point outside too; a reported point is always really outside.
     The range trims cut_lo and cut_hi of the sampled span off each end, so
     interior peaks often break it. integrated=True checks the running
-    integral, as for leader speed."""
+    integral, as for leader speed. The examples: sin t from its zero at the
+    start, which begins exactly on lo, so its end slope decides the first
+    piece; a rising sine whose last value is one ulp above hi, which the end
+    slopes must not decide; and a sine of omega = 2^-52, whose integral is
+    noise in the difference-of-cosines form."""
     p = _random_profile(shapes)
     if integrated:
         f = lambda t: 0.5 + p.integrate(p.start, t)
