@@ -28,8 +28,8 @@ __all__ = ["Segment", "PiecewiseProfile", "constant_profile", "profile_from_tabl
 _RAMP_SERIES = tuple((-1.0) ** n / math.factorial(n + 2) for n in range(9, -1, -1))
 
 
-# omega * width below which Segment.integral takes the product form of a sine
-# term's integral.
+# Half of omega * width at or below which Segment.integral takes sin(x) / x
+# as 1.
 _NARROW_SINE = 1e-8
 
 # Halvings of one segment after which an enclosure piece that is still
@@ -77,22 +77,18 @@ class Segment:
     def integral(self, a: float, b: float) -> float:
         """Exact integral over [a, b], which must lie inside [t0, t1].
 
-        A sine term integrates to (cos(omega da + phase) - cos(omega db + phase))
-        / omega, which loses every digit to cancellation as omega (db - da)
-        goes to 0; below _NARROW_SINE it takes the product form
-        2 sin(omega (da + db) / 2 + phase) sin(omega (db - da) / 2) / omega.
+        A sine term integrates to amp sin(omega (da + db) / 2 + phase) (db - da)
+        sinc(x) with x = omega (db - da) / 2 and sinc(x) = sin(x) / x, taken
+        as 1 for |x| <= _NARROW_SINE. Unlike the difference of cosines, this
+        keeps its digits for small, even subnormal, omega.
         """
         da = a - self.t0
         db = b - self.t0
         total = self.const * (db - da) + 0.5 * self.slope * (db * db - da * da)
         for amp, omega, phase in self.sines:
-            if omega == 0.0:
-                total += amp * math.sin(phase) * (db - da)
-            elif abs(omega * (db - da)) < _NARROW_SINE:
-                total += (2.0 * amp * math.sin(0.5 * omega * (da + db) + phase)
-                          * math.sin(0.5 * omega * (db - da)) / omega)
-            else:
-                total += amp * (math.cos(omega * da + phase) - math.cos(omega * db + phase)) / omega
+            x = 0.5 * omega * (db - da)
+            sinc = math.sin(x) / x if abs(x) > _NARROW_SINE else 1.0
+            total += amp * math.sin(0.5 * omega * (da + db) + phase) * (db - da) * sinc
         return total
 
     def relaxed(self, rate: float, y0: float, tau):

@@ -2,7 +2,9 @@
 
 Every number is written as repr(float(x)), the shortest decimal that
 round-trips binary64, so identical runs produce byte-identical files on
-any platform. No timestamps, no locale formatting.
+any platform. No timestamps, no locale formatting. The numeric tables are
+formatted a block of rows at a time by one %-format string, where %r of a
+Python float is its repr and %d of a branch code 0.0, 1.0 or 2.0 its digit.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ __all__ = [
 ]
 
 
-# Rows converted to Python objects at a time by write_trajectory_csv.
+# Rows formatted at a time by _write_table.
 _ROWS_PER_CHUNK = 1000
 
 
@@ -42,21 +44,29 @@ def trajectory_header(n: int) -> list[str]:
     return cols
 
 
+def _write_table(path, header, values: np.ndarray, row: str) -> None:
+    """Write the header line, then each row of values by the format row.
+
+    tolist() yields Python floats, whose %r is fmt's (the repr of a numpy
+    scalar is not), and no field needs CSV quoting; blocks bound the memory
+    of the converted rows.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for r in range(0, len(values), _ROWS_PER_CHUNK):
+            block = values[r:r + _ROWS_PER_CHUNK]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+
+
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     n = traj.n_vehicles
-    values = np.empty((traj.n_points, 3 * n))
+    values = np.empty((traj.n_points, 4 * n - 1))
     values[:, 0] = traj.times
     values[:, 1:2 * n + 1:2] = traj.positions
     values[:, 2:2 * n + 1:2] = traj.velocities
-    values[:, 2 * n + 1:] = traj.headways()
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(trajectory_header(n)) + "\n")
-        # tolist() yields Python floats, whose repr is fmt's, and no field needs
-        # CSV quoting; chunks bound the memory of the converted rows.
-        for r in range(0, traj.n_points, _ROWS_PER_CHUNK):
-            chunk = zip(values[r:r + _ROWS_PER_CHUNK].tolist(),
-                        traj.branches[r:r + _ROWS_PER_CHUNK].tolist())
-            fh.write("".join(",".join([*map(repr, xs), *map(str, bs)]) + "\n" for xs, bs in chunk))
+    values[:, 2 * n + 1:3 * n] = traj.headways()
+    values[:, 3 * n:] = traj.branches
+    _write_table(path, trajectory_header(n), values, ",".join(["%r"] * (3 * n) + ["%d"] * (n - 1)) + "\n")
 
 
 def read_trajectory_csv(path) -> Trajectory:
@@ -108,11 +118,8 @@ def write_cert_report_csv(report: CertReport, path) -> None:
 
 
 def write_convergence_csv(table: ConvergenceTable, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["eps", "sup_distance"])
-        for row in table.rows:
-            w.writerow([fmt(row.eps), fmt(row.sup_distance)])
+    values = np.array([(row.eps, row.sup_distance) for row in table.rows], dtype=float)
+    _write_table(path, ["eps", "sup_distance"], values, "%r,%r\n")
 
 
 def write_envelope_csv(traj: Trajectory, env: SafetyEnvelope, path,
@@ -121,7 +128,4 @@ def write_envelope_csv(traj: Trajectory, env: SafetyEnvelope, path,
     t = traj.times
     cols = (t, traj.velocities[:, follower], env.V_lo(t), env.V_hi(t),
             traj.positions[:, follower - 1] - traj.positions[:, follower], env.h_hi(t))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["t", "v", "V_lo", "V_hi", "h", "h_hi"])
-        w.writerows([fmt(x) for x in row] for row in zip(*(c.tolist() for c in cols)))
+    _write_table(path, ["t", "v", "V_lo", "V_hi", "h", "h_hi"], np.column_stack(cols), "%r,%r,%r,%r,%r,%r\n")

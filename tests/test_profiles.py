@@ -49,6 +49,16 @@ class TestSegment:
         want = amp * (math.cos(ph) - math.cos(om * 6.0 + ph)) / om
         assert seg.integral(0.0, 6.0) == pytest.approx(want, rel=1e-14)
 
+    @pytest.mark.parametrize("omega, phase, want", [
+        # the difference of cosines cancels: it gave 5.000444502911705e-07
+        (1e-6, 0.0, 2.0 * math.sin(5e-7) ** 2 / 1e-6),
+        # sin(omega / 2) / omega loses its digits for subnormal omega
+        (2.2250738585e-313, 1.0, math.sin(1.0)),
+    ])
+    def test_integral_sine_small_omega(self, omega, phase, want):
+        seg = Segment(0.0, 1.0, sines=((1.0, omega, phase),))
+        assert seg.integral(0.0, 1.0) == pytest.approx(want, rel=1e-15)
+
     def test_rebased_preserves_values(self):
         seg = Segment(1.0, 9.0, const=0.2, slope=-0.03, sines=((0.1, 2.0, 0.7),))
         cut = seg.rebased(4.0, 6.0)
@@ -214,6 +224,9 @@ def _random_profile(shapes) -> PiecewiseProfile:
 
 @given(st.lists(_segment_shapes, min_size=1, max_size=3))
 @settings(max_examples=40, deadline=None)
+@example(shapes=[("sine", 1.0, 0.0, 0.0, 1.0, 1e-06, 0.0)])
+@example(shapes=[("const", 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)] * 2
+         + [("sine", 1.0, 0.0, 0.0, 1.0, 2.2250738585e-313, 1.0)])
 def test_l1_norm_against_fine_integral_sums(shapes):
     """sum |integral| over a fine split is a lower bound of the L1 norm; it
     misses at most 2 w sup|f| <= 2 M1 w^2 per piece that holds a zero, and a

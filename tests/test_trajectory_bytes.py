@@ -4,20 +4,29 @@ Criterion 9 compares reruns of one version; these digests hold the bytes
 fixed across versions of the integrator and the CSV writer. Every run here
 has constant profiles and uses only + - * / on floats (no exp, sin or tanh),
 so correctly rounded binary64 arithmetic gives the same bytes everywhere.
+
+The block writers are also held byte-equal to the per-row writers they
+replaced, kept here as an oracle, on runs and on synthetic tables.
 """
 
+import csv
 import hashlib
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from platoonsim import expand_sweep, load_preset, simulate
-from platoonsim.trajectory_io import write_trajectory_csv
+from platoonsim import Trajectory, build_envelope, expand_sweep, load_preset, simulate
+from platoonsim.trajectory_io import (_ROWS_PER_CHUNK, fmt, trajectory_header,
+                                      write_envelope_csv, write_trajectory_csv)
 
 DIGESTS = {
     "fig1_left": "4c18b76fcfaa0777964e50f7be9ed10a6ee1edca083935337306897ba7b6cb79",
     "fig1_left_cacc": "46b77ad01f871c17506b8917ee3321279d50198623675bfeb7954dc60161b605",
     # a CACC rear-end collision: the run stops at the located crossing
     "fig1_right_cacc": "d0b77cc9f907f7e3618cbdb2174f4a59c6e196201a437971bad82e24e8c3a897",
+    # n = 3: the first pinned run with two branch columns
+    "equilibrium": "46406bc6393f257b99f74aa71d2222130b6ffe0aac3f9072805beb4e09216190",
     "fig4": "72ea30f995d4d182be99cec15f1c100cd10c7b6c54f8702a58490d256ee85e75",
     # sweep_demo grid point 209: n=8, headway 5, velocity 1.8, seven switches
     "sweep_demo[209]": "892c597d2a96e5fb146d37b6cb27d91a4423a81c38791f2a0a0a8160f89257d0",
@@ -36,3 +45,72 @@ def test_trajectory_csv_bytes_are_pinned(name, tmp_path):
     path = tmp_path / "trajectory.csv"
     write_trajectory_csv(simulate(_scenario(name)).trajectory, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[name]
+
+
+def _oracle_trajectory_csv(traj, path):
+    """The per-row writer: one join of reprs and branch digits per row."""
+    n = traj.n_vehicles
+    values = np.empty((traj.n_points, 3 * n))
+    values[:, 0] = traj.times
+    values[:, 1:2 * n + 1:2] = traj.positions
+    values[:, 2:2 * n + 1:2] = traj.velocities
+    values[:, 2 * n + 1:] = traj.headways()
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(trajectory_header(n)) + "\n")
+        for xs, bs in zip(values.tolist(), traj.branches.tolist()):
+            fh.write(",".join([*map(repr, xs), *map(str, bs)]) + "\n")
+
+
+def _oracle_envelope_csv(traj, env, path, follower=1):
+    """The csv.writer writer: one fmt call per cell."""
+    t = traj.times
+    cols = (t, traj.velocities[:, follower], env.V_lo(t), env.V_hi(t),
+            traj.positions[:, follower - 1] - traj.positions[:, follower], env.h_hi(t))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["t", "v", "V_lo", "V_hi", "h", "h_hi"])
+        w.writerows([fmt(x) for x in row] for row in zip(*(c.tolist() for c in cols)))
+
+
+_SPECIAL = [-0.0, 5e-324, 1e-05, 1e16, 1e22, float("inf"), float("nan")]
+
+
+def _synthetic(rows):
+    """Three vehicles, so seven float columns: random floats of mixed scale,
+    each special cell in every column of the first seven rows, and random
+    branch codes."""
+    rng = np.random.default_rng(rows)
+    cells = rng.standard_normal((rows, 7)) * 10.0 ** rng.integers(-8, 9, (rows, 7))
+    cells[:7] = [np.roll(_SPECIAL, k) for k in range(7)]
+    traj = Trajectory(times=cells[:, 0], positions=cells[:, 1::2], velocities=cells[:, 2::2],
+                      branches=rng.integers(0, 3, (rows, 2)).astype(np.int8))
+    env = SimpleNamespace(V_lo=lambda t: cells[:, 3], V_hi=lambda t: cells[:, 5],
+                          h_hi=lambda t: cells[:, 6])
+    return traj, env
+
+
+def _run(name):
+    s = load_preset(name).scenario
+    traj = simulate(s).trajectory
+    return traj, build_envelope(s, traj)
+
+
+_CASES = {
+    "fig4": lambda: _run("fig4"),
+    "equilibrium": lambda: _run("equilibrium"),
+    "fig1_right_cacc": lambda: (simulate(load_preset("fig1_right_cacc").scenario).trajectory, None),
+    **{f"synthetic[{rows}]": (lambda rows=rows: _synthetic(rows))
+       for rows in (_ROWS_PER_CHUNK - 1, _ROWS_PER_CHUNK, _ROWS_PER_CHUNK + 1, 2 * _ROWS_PER_CHUNK + 1)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CASES))
+def test_block_writers_match_per_row_writers(case, tmp_path):
+    traj, env = _CASES[case]()
+    write_trajectory_csv(traj, tmp_path / "new.csv")
+    _oracle_trajectory_csv(traj, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    if env is not None:
+        write_envelope_csv(traj, env, tmp_path / "new_env.csv")
+        _oracle_envelope_csv(traj, env, tmp_path / "old_env.csv")
+        assert (tmp_path / "new_env.csv").read_bytes() == (tmp_path / "old_env.csv").read_bytes()
