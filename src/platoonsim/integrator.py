@@ -22,7 +22,6 @@ the box (CACC can brake through zero speed) is an observable result there.
 
 from __future__ import annotations
 
-import ast
 import linecache
 import math
 import re
@@ -31,30 +30,12 @@ from enum import Enum
 
 import numpy as np
 
-from .core import (
-    CaccParams,
-    ModelKind,
-    PlatoonState,
-    Scenario,
-    ScenarioError,
-    StepperConfig,
-    Trajectory,
-    validate_scenario,
-)
+from .core import (CaccParams, ModelKind, PlatoonState, Scenario, ScenarioError, StepperConfig,
+                   Trajectory, validate_scenario)
 from .models import TANH2, TIE_TOLERANCE, BranchFlag
 
-__all__ = [
-    "SolveStatus",
-    "SwitchEvent",
-    "SolveStats",
-    "SolveResult",
-    "StepperConfig",
-    "rhs",
-    "simulate",
-    "reference_solve",
-    "time_grid",
-    "trajectory_mismatches",
-]
+__all__ = ["SolveStatus", "SwitchEvent", "SolveStats", "SolveResult", "StepperConfig", "rhs",
+           "simulate", "reference_solve", "time_grid", "trajectory_mismatches"]
 
 # Cap on event refinements inside one regular step; past this the trial is
 # accepted as-is (defensive, not expected to bind).
@@ -85,6 +66,13 @@ class SolveStats:
     guard_violation: tuple[int, float] | None = None
     # Steps where _MAX_EVENTS_PER_STEP bound and the last trial was accepted as-is.
     event_cap_hits: int = 0
+    # Law evaluations over the platoon: a step counts 4, a deriv 1.
+    rhs_evals: int = 0
+    # Steps tried by the bisections that locate branch switches and collisions.
+    switch_bisection_evals: int = 0
+    collision_bisection_evals: int = 0
+    # Follower velocities clamped onto the edge of the speed box.
+    guard_clamps: int = 0
 
 
 @dataclass(frozen=True)
@@ -149,31 +137,38 @@ def _uses(body: str, name: str) -> bool:
     return re.search(rf"\b{name}\b", body) is not None
 
 
-def _platoon_pass(body: str, state, store, track: bool, sfx: str = ""):
+def _platoon_pass(body: str, state, store, track: bool, sfx: str = "", at: str = ""):
     """Source lines (head, loop body) of one pass over the platoon.
 
-    state(idx) is the expression of state component idx at this stage and
-    store(idx, value) the line that keeps derivative component idx. track adds
-    deriv's minimum-headway and branch-gap bookkeeping. sfx renames every
-    local of the pass, so that two passes can share one follower loop.
+    state(c) is the expression of the stage state's position (c = "x") or
+    velocity (c = "v"), and store(c, idx, s, d) the lines that keep that
+    component's state s and derivative d, idx being its index in the flat
+    state. track adds deriv's minimum-headway and branch-gap bookkeeping.
+    sfx renames what the pass carries from one follower to the next (xp, vp,
+    ap) and at renames its forcing (a_l, us), so that several passes can share
+    one follower loop; the law's own temporaries keep their names.
     """
     chained = _uses(body, "ap")
-    head = [f"xp = {state('0')}", f"vp = {state('1')}", store("0", "vp"), store("1", "a_l")]
+    head = [f"xp = {state('x')}", f"vp = {state('v')}",
+            *store("x", "0", "xp", "vp"), *store("v", "1", "vp", "a_l")]
     head += ["ap = a_l"] * chained
-    loop = [f"x = {state('j')}", f"v = {state('j + 1')}"]
+    loop = [f"x = {state('x')}", f"v = {state('v')}"]
     loop += ["u = us[i - 1]"] * _uses(body, "u") + body.splitlines()
     if track:
         loop += ["if hh < minh:", "    minh = hh", "    mi = i"]
         loop += ["phi[i - 1] = g - c"] * _uses(body, "g")
-    loop += [store("j", "v"), store("j + 1", "a"), "xp = x", "vp = v"]
+    loop += [*store("x", "j", "x", "v"), *store("v", "j + 1", "v", "a"), "xp = x", "vp = v"]
     loop += ["ap = a"] * chained
-    if sfx:
-        names = {"x", "v", "xp", "vp", "ap", "u", "us", "a_l"} | {
-            node.id for node in ast.walk(ast.parse(body))
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
-        pattern = re.compile(rf"\b({'|'.join(names)})\b")
-        head, loop = ([pattern.sub(rf"\1{sfx}", line) for line in lines] for lines in (head, loop))
-    return head, loop
+    carried, forced = re.compile(r"\b(xp|vp|ap)\b"), re.compile(r"\b(a_l|us)\b")
+    return tuple([forced.sub(rf"\1{at}", carried.sub(rf"\1{sfx}", line)) for line in lines]
+                 for lines in (head, loop))
+
+
+def _loads(*lists: str) -> tuple[list[str], list[str]]:
+    """A pass that loads each list's position and velocity entries into
+    locals named after it (y gives yx and yv)."""
+    return ([f"{k}x = {k}[0]" for k in lists] + [f"{k}v = {k}[1]" for k in lists],
+            [f"{k}x = {k}[j]" for k in lists] + [f"{k}v = {k}[j + 1]" for k in lists])
 
 
 def _loop(*passes: tuple[list[str], list[str]]) -> list[str]:
@@ -185,37 +180,45 @@ def _loop(*passes: tuple[list[str], list[str]]) -> list[str]:
 def _kernel_source(body: str) -> str:
     """deriv(t, y) and the fused RK4 step(t, y, h, k1, t_end) of one law body.
 
-    step forms each stage state in the follower loop that evaluates the law,
-    and its last stage folds in the RK4 combine, so a step makes no stage
-    lists beyond k2 and k3. The stages write neither phi nor minh. The
-    stage-4 loop also evaluates the law, renamed, at each end state as soon
-    as the follower's is formed, so step is RK4 followed by deriv(t_end, ·)
-    and returns (y_end, f_end).
+    step makes one pass over the platoon: a follower's stage state depends
+    only on its own earlier stages and its predecessor's state at the same
+    stage, so each follower in turn gets its stages 2, 3 and 4, the RK4
+    combine and the law at its end state. Each stage carries the
+    predecessor's state in locals of its own (xp_2, vp_2, ...) and keeps its
+    derivative in locals (k2x, k2v, ...), so step builds no list but its
+    results y_end and deriv(t_end, y_end), with the float operations of a
+    textbook RK4 and deriv in their order. Only the end state writes phi and
+    minh. step's _Singular(i) names the first follower, in loop order, whose
+    stage state has closed its headway; only deriv's (and rhs's) i is reported.
     """
     def stage(k, s):
-        return lambda idx: f"y[{idx}] + {s} * {k}[{idx}]"
+        return lambda c: f"y{c} + {s} * {k}{c}"
 
-    def into(k):
-        return lambda idx, value: f"{k}[{idx}] = {value}"
+    def keep(k):
+        return lambda c, idx, s, d: [f"{k}{c} = {d}"]
 
-    def combine(idx, value):
-        return (f"out[{idx}] = y[{idx}] + h * (k1[{idx}] + 2.0 * (k2[{idx}] + k3[{idx}])"
-                f" + {value}) / 6.0")
+    def combine(c):
+        return f"y{c} + h * (k1{c} + 2.0 * (k2{c} + k3{c}) + k4{c}) / 6.0"
 
-    def at(k):
-        return lambda idx: f"{k}[{idx}]"
+    def derivative(c, idx, s, d):
+        return [f"out[{idx}] = {d}"]
+
+    def end(c, idx, s, d):
+        return [f"out[{idx}] = {s}", f"f[{idx}] = {d}"]
 
     track = ["minh = inf", "mi = 1"]
     report = ["eng.minh = minh", "eng.minh_idx = mi"]
     deriv = ["out = [0.0] * size", "a_l, us = forcing(t)", *track,
-             *_loop(_platoon_pass(body, at("y"), into("out"), True)), *report, "return out"]
-    step = ["half = 0.5 * h", "a_l, us = forcing(t + half)",
-            "k2 = [0.0] * size", *_loop(_platoon_pass(body, stage("k1", "half"), into("k2"), False)),
-            "k3 = [0.0] * size", *_loop(_platoon_pass(body, stage("k2", "half"), into("k3"), False)),
-            "a_l, us = forcing(t + h)", "a_l_e, us_e = forcing(t_end)",
+             *_loop(_loads("y"), _platoon_pass(body, lambda c: f"y{c}", derivative, True)),
+             *report, "return out"]
+    step = ["half = 0.5 * h", "a_l_2, us_2 = forcing(t + half)", "t_4 = t + h",
+            "a_l_4, us_4 = forcing(t_4)", "a_l_e, us_e = (a_l_4, us_4) if t_end == t_4 else forcing(t_end)",
             "out = [0.0] * size", "f = [0.0] * size", *track,
-            *_loop(_platoon_pass(body, stage("k3", "h"), combine, False),
-                   _platoon_pass(body, at("out"), into("f"), True, "_e")),
+            *_loop(_loads("y", "k1"),
+                   _platoon_pass(body, stage("k1", "half"), keep("k2"), False, "_2", "_2"),
+                   _platoon_pass(body, stage("k2", "half"), keep("k3"), False, "_3", "_2"),
+                   _platoon_pass(body, stage("k3", "h"), keep("k4"), False, "_4", "_4"),
+                   _platoon_pass(body, combine, end, True, "_e", "_e")),
             *report, "return out, f"]
     return "".join(f"def {sig}:\n" + "".join(f"    {line}\n" for line in lines)
                    for sig, lines in (("deriv(t, y)", deriv), ("step(t, y, h, k1, t_end)", step)))
@@ -268,7 +271,7 @@ class _Engine:
             fixed = (a_fixed, u_fixed)
             self.forcing = lambda t: fixed
         else:
-            self.forcing = _forcing_memo(s.leader.accel, a_fixed, controls, u_fixed)
+            self.forcing = _forcing(s.leader.accel, a_fixed, controls, u_fixed)
         ns = {"kv": base.k_v, "kd": base.k_d, "kk": base.k, "ts": base.tau_s,
               "n": self.n, "size": self.size, "forcing": self.forcing, "phi": self.phi,
               "eng": self, "inf": math.inf, "tanh": math.tanh, "TANH2": TANH2,
@@ -282,61 +285,52 @@ class _Engine:
         self.step = ns["step"]
 
 
-def _forcing_memo(accel, a_fixed, controls, u_fixed):
+def _forcing(accel, a_fixed, controls, u_fixed):
     """forcing(t): leader acceleration and follower controls at t, for
     time-varying profiles (a_fixed and u_fixed hold the constant ones' values).
-
-    A one-entry memo on t: RK4's k2 and k3 share t + h/2, and k4 and the
-    accepted point usually share the step's end, so each follower's profile
-    is evaluated once per distinct stage time.
-    """
+    step calls it once per distinct stage time."""
     a_value = accel.value
     u_values = [u.value for u in controls] if None in u_fixed else None
-    memo_t = memo = None
 
     def forcing(t: float) -> tuple[float, list[float]]:
-        nonlocal memo_t, memo
-        if t != memo_t:
-            us = u_fixed if u_values is None else [
-                c if c is not None else value(t) for c, value in zip(u_fixed, u_values)]
-            memo_t, memo = t, (a_fixed if a_fixed is not None else a_value(t), us)
-        return memo
+        us = u_fixed if u_values is None else [
+            c if c is not None else value(t) for c, value in zip(u_fixed, u_values)]
+        return a_fixed if a_fixed is not None else a_value(t), us
 
     return forcing
 
 
 class _RunState:
-    """Settings and counters of one simulate call (guard_tol None: no guard)."""
+    """Settings and counters of one simulate call (guard_tol None: no guard).
 
-    __slots__ = ("switch_tol", "guard_tol", "switch_refinements", "events", "event_cap_hits")
+    The counters change only on event paths. rhs_evals counts the law
+    evaluations of collision location and clamps; simulate derives the rest.
+    restarting is set during a switch restart, to tell a run stopped there
+    from one stopped at a trial step.
+    """
+
+    __slots__ = ("switch_tol", "guard_tol", "events", "switch_refinements", "event_cap_hits",
+                 "switch_bisection_evals", "collision_bisection_evals", "guard_clamps",
+                 "rhs_evals", "restarting")
 
     def __init__(self, switch_tol: float, guard_tol: float | None):
-        self.switch_tol = switch_tol
-        self.guard_tol = guard_tol
-        self.switch_refinements = 0
+        self.switch_tol, self.guard_tol = switch_tol, guard_tol
         self.events: list[SwitchEvent] = []
-        self.event_cap_hits = 0
-
-
-def _headways_of(y: list[float], n: int) -> list[float]:
-    return [y[2 * i - 2] - y[2 * i] for i in range(1, n)]
+        self.switch_refinements = self.event_cap_hits = self.guard_clamps = self.rhs_evals = 0
+        self.switch_bisection_evals = self.collision_bisection_evals = 0
+        self.restarting = False
 
 
 class _Collision(Exception):
     """Internal control flow: carries the truncated final node."""
 
     def __init__(self, t, y, follower):
-        self.t = t
-        self.y = y
-        self.follower = follower
+        self.t, self.y, self.follower = t, y, follower
 
 
 class _Guard(Exception):
     def __init__(self, t, y, follower, velocity):
-        self.t = t
-        self.y = y
-        self.follower = follower
-        self.velocity = velocity
+        self.t, self.y, self.follower, self.velocity = t, y, follower, velocity
 
 
 def _advance(eng: _Engine, run: _RunState, t: float, y: list[float], f,
@@ -353,23 +347,24 @@ def _advance(eng: _Engine, run: _RunState, t: float, y: list[float], f,
         except _Singular:
             crossed = True
         if crossed:
-            raise _collision(eng, run.switch_tol, t, y, f, target)
+            raise _collision(eng, run, t, y, f, target)
         if eng.branches:
             phi_trial = eng.phi[:]
             signs_trial = _signs(phi_trial)
         else:
             phi_trial, signs_trial = eng.phi, signs
         if signs_trial == signs or not _flipped(signs, signs_trial):
-            return _apply_guard(eng, run.guard_tol, target, y_trial, f_trial, phi_trial, signs_trial)
+            return _apply_guard(eng, run, target, y_trial, f_trial, phi_trial, signs_trial)
 
-        lo, hi = _bisect(eng, run.switch_tol, t, y, f, target, signs)
+        lo, hi = _bisect(eng, run, t, y, f, target, signs)
         run.switch_refinements += 1
+        run.restarting = True
         try:
             y_hi, f_hi = eng.step(t, y, hi - t, f, hi)
             if eng.minh <= 0.0:
                 raise _Singular(eng.minh_idx)
         except _Singular:
-            raise _collision(eng, run.switch_tol, t, y, f, hi)
+            raise _collision(eng, run, t, y, f, hi)
         phi_hi = eng.phi[:]
         signs_hi = _signs(phi_hi)
         mid_time = 0.5 * (lo + hi)
@@ -377,19 +372,21 @@ def _advance(eng: _Engine, run: _RunState, t: float, y: list[float], f,
             if a * b == -1:
                 run.events.append(SwitchEvent(mid_time, i + 1, _FLAG_OF_SIGN[a], _FLAG_OF_SIGN[b]))
         t = hi
-        y, f, _, signs = _apply_guard(eng, run.guard_tol, hi, y_hi, f_hi, phi_hi, signs_hi)
+        y, f, _, signs = _apply_guard(eng, run, hi, y_hi, f_hi, phi_hi, signs_hi)
+        run.restarting = False
     # The event cap was hit: accept the last trial as is.
     run.event_cap_hits += 1
-    return _apply_guard(eng, run.guard_tol, target, y_trial, f_trial, phi_trial, signs_trial)
+    return _apply_guard(eng, run, target, y_trial, f_trial, phi_trial, signs_trial)
 
 
-def _bisect(eng: _Engine, switch_tol: float, t: float, y: list[float], f, hi: float,
+def _bisect(eng: _Engine, run: _RunState, t: float, y: list[float], f, hi: float,
             signs: list[int] | None) -> tuple[float, float]:
     """Bracket, to switch_tol, the earliest event of the one-step map from (t, y)
     in (t, hi]: a headway closing (or a singular law failing) and, unless signs
     is None, a branch flip against signs. Returns the bracket (lo, hi)."""
-    lo = t
-    while hi - lo > switch_tol:
+    lo, calls = t, 0
+    while hi - lo > run.switch_tol:
+        calls += 1
         mid = 0.5 * (lo + hi)
         try:
             eng.step(t, y, mid - t, f, mid)
@@ -400,10 +397,14 @@ def _bisect(eng: _Engine, switch_tol: float, t: float, y: list[float], f, hi: fl
             hi = mid
         else:
             lo = mid
+    if signs is None:
+        run.collision_bisection_evals += calls
+    else:
+        run.switch_bisection_evals += calls
     return lo, hi
 
 
-def _collision(eng: _Engine, switch_tol: float, t: float, y: list[float],
+def _collision(eng: _Engine, run: _RunState, t: float, y: list[float],
                f, hi: float) -> _Collision:
     """Locate the first infeasible/zero-headway time in (t, hi], leaving
     eng.phi at the located point.
@@ -411,40 +412,37 @@ def _collision(eng: _Engine, switch_tol: float, t: float, y: list[float],
     The bisection moves lo only to an end point where step returned with a
     positive headway, and step is deterministic, so neither call here raises.
     """
-    lo, _ = _bisect(eng, switch_tol, t, y, f, hi, None)
+    lo, _ = _bisect(eng, run, t, y, f, hi, None)
     if lo > t:
         y, _ = eng.step(t, y, lo - t, f, lo)
     else:
         eng.deriv(t, y)
-    hws = _headways_of(y, eng.n)
+    run.rhs_evals += 4 if lo > t else 1
+    hws = [y[2 * i - 2] - y[2 * i] for i in range(1, eng.n)]
     return _Collision(lo, y, 1 + hws.index(min(hws)))
 
 
-def _apply_guard(eng: _Engine, guard_tol: float | None, t: float, y: list[float], f,
+def _apply_guard(eng: _Engine, run: _RunState, t: float, y: list[float], f,
                  phi: list[float], signs: list[int]):
     """Clamp float-noise speed-box exits and return (y, f, phi, signs); raise _Guard
     on anything larger."""
-    v_bar = eng.v_bar
-    vs = y[3::2]
-    if guard_tol is None or not vs or (min(vs) >= 0.0 and max(vs) <= v_bar):
+    guard_tol, v_bar = run.guard_tol, eng.v_bar
+    if guard_tol is None:  # a law with no speed box
         return y, f, phi, signs
-    clamped = False
+    vs = y[3::2]
+    if not vs or (min(vs) >= 0.0 and max(vs) <= v_bar):
+        return y, f, phi, signs
+    clamped = 0
     for i in range(1, eng.n):
-        j = 2 * i + 1
-        v = y[j]
-        if v < 0.0:
-            if v >= -guard_tol:
-                y[j] = 0.0
-                clamped = True
-            else:
+        v = y[2 * i + 1]
+        if v < 0.0 or v > v_bar:
+            if v < -guard_tol or v > v_bar + guard_tol:
                 raise _Guard(t, y, i, v)
-        elif v > v_bar:
-            if v <= v_bar + guard_tol:
-                y[j] = v_bar
-                clamped = True
-            else:
-                raise _Guard(t, y, i, v)
+            y[2 * i + 1] = 0.0 if v < 0.0 else v_bar
+            clamped += 1
     if clamped:
+        run.guard_clamps += clamped
+        run.rhs_evals += 1
         f = eng.deriv(t, y)
         phi = eng.phi[:]
         signs = _signs(phi)
@@ -511,7 +509,7 @@ def simulate(s: Scenario, *, validate: bool = True) -> SolveResult:
 
     eng = _Engine(s)
     run = _RunState(s.switch_tol, s.stepper.guard_tol if s.model_kind is ModelKind.PROPOSED else None)
-    n = eng.n
+    n, branches = eng.n, eng.branches
     grid = time_grid(s)
     n_steps = len(grid) - 1
 
@@ -525,8 +523,7 @@ def simulate(s: Scenario, *, validate: bool = True) -> SolveResult:
     signs = _signs(eng.phi)
     times[0], Y[0], P[0] = t, y, eng.phi
     status = SolveStatus.COMPLETED
-    collision = None
-    guard_violation = None
+    collision = guard_violation = None
     rows = 1
     steps_taken = 0
     try:
@@ -536,44 +533,45 @@ def simulate(s: Scenario, *, validate: bool = True) -> SolveResult:
             t = target
             times[rows] = t
             Y[rows] = y
-            P[rows] = phi
+            if branches:
+                P[rows] = phi
             rows += 1
             steps_taken += 1
-    except _Collision as c:
-        status = SolveStatus.COLLISION_DETECTED
-        collision = (c.t, c.follower)
-        if c.t > t:
-            times[rows], Y[rows], P[rows] = c.t, c.y, eng.phi
-            rows += 1
-    except _Guard as g:
-        status = SolveStatus.GUARD_TRIPPED
-        guard_violation = (g.follower, g.velocity)
-        if g.t > t:
-            times[rows], Y[rows], P[rows] = g.t, g.y, eng.phi
+    except (_Collision, _Guard) as stop:
+        if isinstance(stop, _Collision):
+            status, collision = SolveStatus.COLLISION_DETECTED, (stop.t, stop.follower)
+        else:
+            status, guard_violation = SolveStatus.GUARD_TRIPPED, (stop.follower, stop.velocity)
+        if stop.t > t:
+            times[rows], Y[rows], P[rows] = stop.t, stop.y, eng.phi
             rows += 1
     except _Singular as e:
         # Initial state itself is infeasible; validation should have caught it.
         raise ValueError(f"headway ahead of follower {e.args[0]} is not positive") from None
 
-    if not eng.branches:
-        branches = np.zeros((rows, n - 1), dtype=np.int8)
-    else:
+    if branches:
         P = P[:rows]
-        branches = np.where(P > TIE_TOLERANCE, BranchFlag.CONTROL, np.where(
+        codes = np.where(P > TIE_TOLERANCE, BranchFlag.CONTROL, np.where(
             P < -TIE_TOLERANCE, BranchFlag.GAP, BranchFlag.TIE)).astype(np.int8)
-    traj = Trajectory(
-        times=times[:rows].copy(),
-        positions=Y[:rows, 0::2],
-        velocities=Y[:rows, 1::2],
-        branches=branches,
-        collision=collision,
-    )
+    else:
+        codes = np.zeros((rows, n - 1), dtype=np.int8)
+    traj = Trajectory(times=times[:rows].copy(), positions=Y[:rows, 0::2],
+                      velocities=Y[:rows, 1::2], branches=codes, collision=collision)
+    # An accepted step tried one step more than it refined switches (a capped
+    # step as many), and a run stopped at a trial, not at a restart, one more.
+    trials = steps_taken + run.switch_refinements - run.event_cap_hits
+    trials += status is not SolveStatus.COMPLETED and not run.restarting
     stats = SolveStats(
         steps=steps_taken,
         switch_refinements=run.switch_refinements,
         switch_events=tuple(run.events),
         guard_violation=guard_violation,
         event_cap_hits=run.event_cap_hits,
+        rhs_evals=1 + run.rhs_evals + 4 * (trials + run.switch_refinements
+                                           + run.switch_bisection_evals + run.collision_bisection_evals),
+        switch_bisection_evals=run.switch_bisection_evals,
+        collision_bisection_evals=run.collision_bisection_evals,
+        guard_clamps=run.guard_clamps,
     )
     return SolveResult(traj, status, stats)
 

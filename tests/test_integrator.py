@@ -262,8 +262,8 @@ def _law_accel(s, x_l, x, v_l, v, a_l, u):
 
 
 @st.composite
-def _platoons(draw, min_headway=0.05):
-    n = draw(st.integers(2, 8))
+def _platoons(draw, min_headway=0.05, max_n=8):
+    n = draw(st.integers(2, max_n))
     headways = draw(st.lists(st.floats(min_headway, 20.0), min_size=n - 1, max_size=n - 1))
     velocities = draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n))
     xs = [sum(headways)]
@@ -342,12 +342,14 @@ def test_guard_clamps_float_noise_at_either_edge_of_the_box(fig1_left_scenario, 
     eng = integrator._Engine(fig1_left_scenario)
     y = [5.0, 1.0, 0.0, v]
     f = eng.deriv(0.0, y)
-    y, f, phi, signs = integrator._apply_guard(eng, 1e-9, 0.0, y, f, eng.phi[:], [7])
+    run = integrator._RunState(1e-7, 1e-9)
+    y, f, phi, signs = integrator._apply_guard(eng, run, 0.0, y, f, eng.phi[:], [7])
     assert y[3] == clamped
     assert f == eng.deriv(0.0, [5.0, 1.0, 0.0, clamped])
     assert phi == eng.phi
     # the signs are recomputed after a clamp and passed through otherwise
     assert signs == ([1] if v != clamped else [7])
+    assert run.guard_clamps == run.rhs_evals == (v != clamped)
 
 
 @pytest.mark.parametrize("v", [-2e-9, 2.0 + 2e-9])
@@ -355,7 +357,8 @@ def test_guard_trips_just_outside_the_noise_band(fig1_left_scenario, v):
     eng = integrator._Engine(fig1_left_scenario)
     y = [5.0, 1.0, 0.0, v]
     with pytest.raises(integrator._Guard):
-        integrator._apply_guard(eng, 1e-9, 0.0, y, eng.deriv(0.0, y), eng.phi[:], [1])
+        integrator._apply_guard(eng, integrator._RunState(1e-7, 1e-9), 0.0, y,
+                                eng.deriv(0.0, y), eng.phi[:], [1])
 
 
 def test_ovfl_engine_evaluates_only_the_leader_profile(monkeypatch):
@@ -397,7 +400,7 @@ def _textbook_step(eng):
 
 
 @pytest.mark.parametrize("preset", ["fig1_left", "fig1_left_cacc", "fig1_left_ovfl"])
-@given(platoon=_platoons(min_headway=1e-4), h_frac=st.floats(1e-9, 1.0),
+@given(platoon=_platoons(min_headway=1e-4, max_n=33), h_frac=st.floats(1e-9, 1.0),
        end_ulps=st.sampled_from([0, 1, -1]))
 @settings(max_examples=100, deadline=None)
 def test_fused_rk4_matches_a_textbook_rk4(preset, platoon, h_frac, end_ulps):
@@ -405,7 +408,8 @@ def test_fused_rk4_matches_a_textbook_rk4(preset, platoon, h_frac, end_ulps):
     bit for bit, branch gaps and minimum headway included, with a
     time-varying leader and controls, also when t_end is an ulp off t + h (a
     bisection's midpoint), and raises _Singular exactly when either of the
-    two does."""
+    two does. Platoons of up to 33 vehicles check the stage states that the
+    one-pass step carries down a long chain of followers."""
     xs, vs, t = platoon
     s = _varying_scenario(preset, xs, vs)
     eng = integrator._Engine(s)
@@ -447,6 +451,42 @@ def test_fused_rk4_raises_in_the_stage_a_textbook_rk4_raises(preset, d, v_l, v, 
     assert "if hh <= 0.0: raise _Singular(i)" in shown
 
 
+def test_step_raises_in_loop_order_and_simulate_stops_where_a_textbook_rk4_does(monkeypatch):
+    """n = 3: follower 2's stage-2 state has crossed, follower 1's crosses
+    only at stage 3. A textbook RK4 raises at stage 2, for follower 2; the
+    one-pass step reaches follower 1's stage 3 first and raises for follower 1.
+    simulate needs only that a step raised, so it locates the same collision
+    with either step."""
+    h = 0.05
+    base = load_preset("fig1_left_ovfl").scenario
+    y = [1e-3, 1.0, 0.0, 0.0, -0.01, 1.0]
+    s = replace(base, initial=PlatoonState(tuple(map(VehicleState, y[0::2], y[1::2]))),
+                controls=base.controls * 2, stepper=replace(base.stepper, dt=h))
+    eng = integrator._Engine(s)
+    k1 = eng.deriv(0.0, y)
+    stages = []
+    with pytest.raises(integrator._Singular) as ref:
+        _textbook_rk4(lambda t, y: stages.append(t) or eng.deriv(t, y), 0.0, y, h, k1)
+    with pytest.raises(integrator._Singular) as got:
+        eng.step(0.0, y, h, k1, h)
+    assert (len(stages) + 1, ref.value.args, got.value.args) == (2, (2,), (1,))
+
+    one_pass = simulate(s, validate=False)
+    init = integrator._Engine.__init__
+
+    def textbook_init(eng, scenario):
+        init(eng, scenario)
+        eng.step = _textbook_step(eng)
+
+    monkeypatch.setattr(integrator._Engine, "__init__", textbook_init)
+    textbook = simulate(s, validate=False)
+    assert one_pass.status is textbook.status is SolveStatus.COLLISION_DETECTED
+    assert one_pass.trajectory.collision == textbook.trajectory.collision
+    for name in ("times", "positions", "velocities"):
+        assert getattr(one_pass.trajectory, name).tobytes() == getattr(textbook.trajectory, name).tobytes()
+    assert one_pass.stats == textbook.stats
+
+
 @pytest.mark.parametrize("preset", ["fig1_left", "fig1_left_cacc", "fig1_left_ovfl"])
 def test_one_kernel_code_object_per_law_at_any_platoon_size(preset):
     base = load_preset(preset).scenario
@@ -457,3 +497,83 @@ def test_one_kernel_code_object_per_law_at_any_platoon_size(preset):
     for name in ("deriv", "step"):
         code = getattr(engines[0], name).__code__
         assert all(getattr(e, name).__code__ is code for e in engines)
+
+
+def _counted_simulate(monkeypatch, s):
+    """simulate(s) and the engine calls it really made: step and deriv calls,
+    the steps tried by switch and by collision bisections, and clamped
+    velocities."""
+    calls = {"step": 0, "deriv": 0, "switch": 0, "collision": 0, "clamps": 0}
+    init, bisect, apply_guard = integrator._Engine.__init__, integrator._bisect, integrator._apply_guard
+
+    def counting_init(eng, scenario):
+        init(eng, scenario)
+        for name in ("step", "deriv"):
+            def counted(*args, fn=getattr(eng, name), name=name):
+                calls[name] += 1
+                return fn(*args)
+            setattr(eng, name, counted)
+
+    def counting_bisect(eng, run, t, y, f, hi, signs):
+        before = calls["step"]
+        try:
+            return bisect(eng, run, t, y, f, hi, signs)
+        finally:
+            calls["collision" if signs is None else "switch"] += calls["step"] - before
+
+    def counting_guard(eng, run, t, y, *rest):
+        before = y[3::2]
+        out = apply_guard(eng, run, t, y, *rest)
+        calls["clamps"] += sum(a != b for a, b in zip(before, out[0][3::2]))
+        return out
+
+    monkeypatch.setattr(integrator._Engine, "__init__", counting_init)
+    monkeypatch.setattr(integrator, "_bisect", counting_bisect)
+    monkeypatch.setattr(integrator, "_apply_guard", counting_guard)
+    return simulate(s, validate=False), calls
+
+
+def _pair(preset, leader, follower, dt, **stepper):
+    base = load_preset(preset).scenario
+    return replace(base, initial=PlatoonState((VehicleState(*leader), VehicleState(*follower))),
+                   horizon=40.0, stepper=replace(base.stepper, dt=dt, **stepper))
+
+
+# Runs that reach each counted path: (scenario, event cap, status, the counter it must move).
+_COUNTED_RUNS = {
+    "one switch": (lambda: load_preset("fig1_left").scenario, 64, "completed", "switch_bisection_evals"),
+    "event cap": (lambda: load_preset("fig1_left").scenario, 1, "completed", "event_cap_hits"),
+    "guard clamps": (lambda: _pair("fig1_left", (1000.0, 1.0), (0.0, 0.0), 9.3, guard_tol=0.05),
+                     64, "completed", "guard_clamps"),
+    "collision at a trial": (lambda: load_preset("fig1_right_cacc").scenario, 64,
+                             "collision_detected", "collision_bisection_evals"),
+    "collision at a restart": (lambda: _pair("fig1_left_cacc", (0.0, 0.4), (-0.2, 2.0), 8.0), 64,
+                               "collision_detected", "collision_bisection_evals"),
+    "guard trip at a trial": (lambda: _pair("fig1_left", (0.0, 0.05), (-7.0, 1.0), 1.2), 64,
+                              "guard_tripped", "switch_bisection_evals"),
+    "guard trip at a restart": (lambda: _pair("fig1_left", (0.0, 0.05), (-7.2, 1.1), 1.15), 64,
+                                "guard_tripped", "switch_bisection_evals"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_COUNTED_RUNS))
+def test_solve_counters_match_the_engine_calls(case, monkeypatch):
+    """rhs_evals counts a step as 4 law evaluations and a deriv as 1, and the
+    bisection and clamp counters count what really ran, on runs that stop at
+    a trial step or at a switch restart as well as on completed ones."""
+    scenario, cap, status, moved = _COUNTED_RUNS[case]
+    monkeypatch.setattr(integrator, "_MAX_EVENTS_PER_STEP", cap)
+    res, calls = _counted_simulate(monkeypatch, scenario())
+    stats = res.stats
+    assert res.status.value == status
+    assert getattr(stats, moved) > 0
+    assert stats.rhs_evals == 4 * calls["step"] + calls["deriv"]
+    assert stats.switch_bisection_evals == calls["switch"]
+    assert stats.collision_bisection_evals == calls["collision"]
+    assert stats.guard_clamps == calls["clamps"]
+
+
+def test_a_switch_free_run_evaluates_the_law_four_times_a_step_and_once_more():
+    stats = simulate(load_preset("order_check").scenario).stats
+    assert stats.switch_refinements == stats.guard_clamps == 0
+    assert stats.rhs_evals == 4 * stats.steps + 1

@@ -2,8 +2,10 @@
 
 Criterion 9 compares reruns of one version; these digests hold the bytes
 fixed across versions of the integrator and the CSV writer. Every run here
-has constant profiles and uses only + - * / on floats (no exp, sin or tanh),
-so correctly rounded binary64 arithmetic gives the same bytes everywhere.
+has constant profiles and, but for the ovfl point, uses only + - * / on
+floats (no exp, sin or tanh), so correctly rounded binary64 arithmetic gives
+the same bytes everywhere. The ovfl point also calls math.tanh, so its
+digest holds on a platform whose libm rounds tanh as glibc does.
 
 The block writers are also held byte-equal to the per-row writers they
 replaced, kept here as an oracle, on runs and on synthetic tables.
@@ -16,7 +18,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from platoonsim import Trajectory, build_envelope, expand_sweep, load_preset, simulate
+from platoonsim import Trajectory, build_envelope, expand_sweep, load_preset, parse_config, simulate
+from platoonsim.presets import preset_text
 from platoonsim.trajectory_io import (_ROWS_PER_CHUNK, fmt, trajectory_header,
                                       write_envelope_csv, write_trajectory_csv)
 
@@ -30,10 +33,24 @@ DIGESTS = {
     "fig4": "72ea30f995d4d182be99cec15f1c100cd10c7b6c54f8702a58490d256ee85e75",
     # sweep_demo grid point 209: n=8, headway 5, velocity 1.8, seven switches
     "sweep_demo[209]": "892c597d2a96e5fb146d37b6cb27d91a4423a81c38791f2a0a0a8160f89257d0",
+    # benchmark sweep_grid points with n=32: three switches, and the ovfl law
+    "sweep_grid[proposed, 2.0, 0.0]": "33a43a8683c85978d7695c65618f569256b0d154c8b0eacaf665eb03a460cdda",
+    "sweep_grid[ovfl, 0.25, 0.8]": "ecb7cf592465ed35c9b605c5a8948f0a03a2e1898f3ee879798fff268b882916",
 }
 
 
+def _sweep_grid_point(model, h0, v0):
+    """A point of the benchmark's sweep_grid: sweep_demo's scenario under
+    model, at T = 10, with n = 32, initial headway h0 and follower speed v0."""
+    text = preset_text("sweep_demo").replace("proposed", model).replace("T = 100.0", "T = 10.0")
+    text = text[:text.index("[sweep]")] + f"[sweep]\nn = 32\nheadways = {h0}\nvelocities = {v0}\n"
+    cfg = parse_config(text)
+    return expand_sweep(cfg.scenario, cfg.sweep)[0]
+
+
 def _scenario(name):
+    if name.startswith("sweep_grid["):
+        return _sweep_grid_point(*name[len("sweep_grid["):-1].split(", "))
     if name.startswith("sweep_demo["):
         cfg = load_preset("sweep_demo")
         return expand_sweep(cfg.scenario, cfg.sweep)[int(name[len("sweep_demo["):-1])]
