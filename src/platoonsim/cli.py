@@ -155,7 +155,12 @@ def cmd_simulate(args) -> int:
     write_trajectory_csv(res.trajectory, out / "trajectory.csv")
     _write_manifest(out, "simulate", s, ["trajectory.csv", "manifest.json"],
                     {"status": res.status.value, "steps": res.stats.steps,
-                     "switch_refinements": res.stats.switch_refinements})
+                     "switch_refinements": res.stats.switch_refinements,
+                     "event_cap_hits": res.stats.event_cap_hits,
+                     "rhs_evals": res.stats.rhs_evals,
+                     "switch_bisection_evals": res.stats.switch_bisection_evals,
+                     "collision_bisection_evals": res.stats.collision_bisection_evals,
+                     "guard_clamps": res.stats.guard_clamps})
     _report_result(res)
     print(f"simulate: {res.status.value}, {res.trajectory.n_points} grid points "
           f"-> {out / 'trajectory.csv'}")

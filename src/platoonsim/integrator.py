@@ -18,6 +18,17 @@ exits are clamped when they are float noise (within guard_tol) and flagged
 as GuardTripped when they are larger, which signals a misconfigured stepper
 rather than real dynamics. Baseline models get no velocity guard: leaving
 the box (CACC can brake through zero speed) is an observable result there.
+
+Most steps meet no event. simulate lets the generated kernel march take
+them, a block of at most _BLOCK_ROWS grid steps per call: march runs the
+fused RK4 step in a loop and checks each step's end in the same pass over
+the platoon (one comparison per follower for a possible branch sign change,
+a closed headway, and an exit from the speed box under the min-type law).
+At the first step it cannot accept on its own, march hands back the last
+accepted node, and _advance takes that step again on the event path above,
+so every event is still located in one place. simulate copies each block's
+accepted rows into the output array at once, and its branch signs once per
+stretch of steps that keep them.
 """
 
 from __future__ import annotations
@@ -40,6 +51,9 @@ __all__ = ["SolveStatus", "SwitchEvent", "SolveStats", "SolveResult", "StepperCo
 # Cap on event refinements inside one regular step; past this the trial is
 # accepted as-is (defensive, not expected to bind).
 _MAX_EVENTS_PER_STEP = 64
+# Grid steps simulate hands march at a time; their rows are copied into the
+# output arrays together.
+_BLOCK_ROWS = 128
 
 
 class SolveStatus(Enum):
@@ -86,6 +100,10 @@ class _Singular(Exception):
     """Internal: a singular law was asked for a non-positive headway."""
 
 
+class _HandBack(Exception):
+    """Internal: march met a step end that only _advance may accept."""
+
+
 def _signs(phi: list[float]) -> list[int]:
     """Branch sign per follower: 1 control, -1 gap, 0 tie (within TIE_TOLERANCE)."""
     return [(p > TIE_TOLERANCE) - (p < -TIE_TOLERANCE) for p in phi]
@@ -97,6 +115,8 @@ def _flipped(signs: list[int], other: list[int]) -> bool:
 
 
 _FLAG_OF_SIGN = {1: BranchFlag.CONTROL, -1: BranchFlag.GAP}
+# Branch code of sign + 1, for recorded sign rows.
+_CODE_OF_SIGN = np.array([BranchFlag.GAP, BranchFlag.TIE, BranchFlag.CONTROL], dtype=np.int8)
 
 
 # Per-follower law bodies: the engine's single definition of each law. A body
@@ -137,26 +157,24 @@ def _uses(body: str, name: str) -> bool:
     return re.search(rf"\b{name}\b", body) is not None
 
 
-def _platoon_pass(body: str, state, store, track: bool, sfx: str = "", at: str = ""):
+def _platoon_pass(body: str, state, store, checks: list[str], sfx: str = "", at: str = ""):
     """Source lines (head, loop body) of one pass over the platoon.
 
     state(c) is the expression of the stage state's position (c = "x") or
     velocity (c = "v"), and store(c, idx, s, d) the lines that keep that
     component's state s and derivative d, idx being its index in the flat
-    state. track adds deriv's minimum-headway and branch-gap bookkeeping.
-    sfx renames what the pass carries from one follower to the next (xp, vp,
-    ap) and at renames its forcing (a_l, us), so that several passes can share
-    one follower loop; the law's own temporaries keep their names.
+    state. checks are lines run on each follower after the law (_track or
+    _march_checks). sfx renames what the pass carries from one follower to
+    the next (xp, vp, ap) and at renames its forcing (a_l, us), so that
+    several passes can share one follower loop; the law's own temporaries
+    keep their names.
     """
     chained = _uses(body, "ap")
     head = [f"xp = {state('x')}", f"vp = {state('v')}",
             *store("x", "0", "xp", "vp"), *store("v", "1", "vp", "a_l")]
     head += ["ap = a_l"] * chained
     loop = [f"x = {state('x')}", f"v = {state('v')}"]
-    loop += ["u = us[i - 1]"] * _uses(body, "u") + body.splitlines()
-    if track:
-        loop += ["if hh < minh:", "    minh = hh", "    mi = i"]
-        loop += ["phi[i - 1] = g - c"] * _uses(body, "g")
+    loop += ["u = us[i - 1]"] * _uses(body, "u") + body.splitlines() + checks
     loop += [*store("x", "j", "x", "v"), *store("v", "j + 1", "v", "a"), "xp = x", "vp = v"]
     loop += ["ap = a"] * chained
     carried, forced = re.compile(r"\b(xp|vp|ap)\b"), re.compile(r"\b(a_l|us)\b")
@@ -177,8 +195,29 @@ def _loop(*passes: tuple[list[str], list[str]]) -> list[str]:
     return lines + ["    " + line for _, loop in passes for line in loop] + ["    j += 2"]
 
 
-def _kernel_source(body: str) -> str:
-    """deriv(t, y) and the fused RK4 step(t, y, h, k1, t_end) of one law body.
+def _track(body: str) -> list[str]:
+    """deriv's bookkeeping: the minimum headway, its follower and the branch gaps."""
+    return ["if hh < minh:", "    minh = hh", "    mi = i"] + ["phi[i - 1] = g - c"] * _uses(body, "g")
+
+
+def _march_checks(body: str, box: bool) -> list[str]:
+    """march's end-state checks. A follower whose branch sign may have changed
+    (sg * phi not above TIE_TOLERANCE) sets fl. A closed headway raises
+    _HandBack (a singular law's own body raises _Singular first), and so does
+    a velocity outside [0, v_bar] when the law has a speed box."""
+    lines = []
+    if _uses(body, "g"):
+        lines += ["phi[i - 1] = p = g - c", "if not sg[i - 1] * p > TIE_TOLERANCE: fl = True"]
+    if not _uses(body, "_Singular"):
+        lines += ["if hh <= 0.0: raise _HandBack"]
+    if box:
+        lines += ["if v < 0.0 or v > v_bar: raise _HandBack"]
+    return lines
+
+
+def _kernel_source(body: str, box: bool) -> list[str]:
+    """The sources of deriv(t, y), the fused RK4 step(t, y, h, k1, t_end) and
+    march(t, y, k1, sg, grid, k, stop, ys, ss) of one law body.
 
     step makes one pass over the platoon: a follower's stage state depends
     only on its own earlier stages and its predecessor's state at the same
@@ -190,6 +229,16 @@ def _kernel_source(body: str) -> str:
     textbook RK4 and deriv in their order. Only the end state writes phi and
     minh. step's _Singular(i) names the first follower, in loop order, whose
     stage state has closed its headway; only deriv's (and rhs's) i is reported.
+
+    march takes the regular steps k, ..., stop - 1 of grid from the accepted
+    node (t, y) with derivative k1 and branch signs sg, each with step's
+    lines, so y_end and f_end are step's bit for bit; the end pass runs
+    _march_checks instead of _track. A flagged step rebuilds the signs with
+    _signs. It extends ys by each accepted y_end and appends (k, signs) to
+    ss for each accepted step k whose signs differ from its predecessor's.
+    It returns (k, t, y, k1, sg): k is stop, or the first step that crossed
+    a headway, raised, left the speed box or flipped a branch, and (t, y,
+    k1, sg) the last accepted node.
     """
     def stage(k, s):
         return lambda c: f"y{c} + {s} * {k}{c}"
@@ -206,22 +255,36 @@ def _kernel_source(body: str) -> str:
     def end(c, idx, s, d):
         return [f"out[{idx}] = {s}", f"f[{idx}] = {d}"]
 
+    def rk4(checks):
+        return ["half = 0.5 * h", "a_l_2, us_2 = forcing(t + half)", "t_4 = t + h",
+                "a_l_4, us_4 = forcing(t_4)",
+                "a_l_e, us_e = (a_l_4, us_4) if t_end == t_4 else forcing(t_end)",
+                "out = [0.0] * size", "f = [0.0] * size",
+                *_loop(_loads("y", "k1"),
+                       _platoon_pass(body, stage("k1", "half"), keep("k2"), [], "_2", "_2"),
+                       _platoon_pass(body, stage("k2", "half"), keep("k3"), [], "_3", "_2"),
+                       _platoon_pass(body, stage("k3", "h"), keep("k4"), [], "_4", "_4"),
+                       _platoon_pass(body, combine, end, checks, "_e", "_e"))]
+
     track = ["minh = inf", "mi = 1"]
     report = ["eng.minh = minh", "eng.minh_idx = mi"]
     deriv = ["out = [0.0] * size", "a_l, us = forcing(t)", *track,
-             *_loop(_loads("y"), _platoon_pass(body, lambda c: f"y{c}", derivative, True)),
+             *_loop(_loads("y"), _platoon_pass(body, lambda c: f"y{c}", derivative, _track(body))),
              *report, "return out"]
-    step = ["half = 0.5 * h", "a_l_2, us_2 = forcing(t + half)", "t_4 = t + h",
-            "a_l_4, us_4 = forcing(t_4)", "a_l_e, us_e = (a_l_4, us_4) if t_end == t_4 else forcing(t_end)",
-            "out = [0.0] * size", "f = [0.0] * size", *track,
-            *_loop(_loads("y", "k1"),
-                   _platoon_pass(body, stage("k1", "half"), keep("k2"), False, "_2", "_2"),
-                   _platoon_pass(body, stage("k2", "half"), keep("k3"), False, "_3", "_2"),
-                   _platoon_pass(body, stage("k3", "h"), keep("k4"), False, "_4", "_4"),
-                   _platoon_pass(body, combine, end, True, "_e", "_e")),
-            *report, "return out, f"]
-    return "".join(f"def {sig}:\n" + "".join(f"    {line}\n" for line in lines)
-                   for sig, lines in (("deriv(t, y)", deriv), ("step(t, y, h, k1, t_end)", step)))
+    step = [*track, *rk4(_track(body)), *report, "return out, f"]
+    branches = _uses(body, "g")
+    march = ["for k in range(k, stop):", "    t_end = grid[k]", "    h = t_end - t",
+             *["    fl = False"] * branches, "    try:",
+             *[f"        {line}" for line in rk4(_march_checks(body, box))],
+             "    except (_Singular, _HandBack):", "        return k, t, y, k1, sg",
+             *["    if fl:", "        new = _signs(phi)", "        if new != sg:",
+               "            if _flipped(sg, new):", "                return k, t, y, k1, sg",
+               "            sg = new", "            ss.append((k, sg))"] * branches,
+             "    ys += out", "    t, y, k1 = t_end, out, f",
+             "return stop, t, y, k1, sg"]
+    return [f"def {sig}:\n" + "".join(f"    {line}\n" for line in lines)
+            for sig, lines in (("deriv(t, y)", deriv), ("step(t, y, h, k1, t_end)", step),
+                               ("march(t, y, k1, sg, grid, k, stop, ys, ss)", march))]
 
 
 # Compiled kernels by law, built on first use so that importing the package
@@ -230,28 +293,35 @@ def _kernel_source(body: str) -> str:
 _KERNELS: dict[ModelKind, tuple] = {}
 
 
-def _kernel(kind: ModelKind):
-    """The law's compiled kernel code. Its source is put back into linecache
-    on every call, so tracebacks, pdb and profilers show kernel lines even
-    after linecache.clearcache()."""
+def _kernel(kind: ModelKind) -> list:
+    """The law's compiled kernel code, one code object per function. The
+    joined source is put back into linecache on every call, so tracebacks,
+    pdb and profilers show kernel lines even after linecache.clearcache().
+    Each function is compiled on its own, at its lines of the joined source,
+    so compiling takes the memory of the largest function, not of all three."""
     if kind not in _KERNELS:
         filename = f"<platoonsim kernels: {kind.value}>"
-        src = _kernel_source(_LAWS[kind])
-        _KERNELS[kind] = (compile(src, filename, "exec"),
-                          (len(src), None, src.splitlines(True), filename))
-    code, entry = _KERNELS[kind]
+        funcs = _kernel_source(_LAWS[kind], kind is ModelKind.PROPOSED)
+        codes, above = [], 0
+        for func in funcs:
+            codes.append(compile("\n" * above + func, filename, "exec"))
+            above += func.count("\n")
+        src = "".join(funcs)
+        _KERNELS[kind] = (codes, (len(src), None, src.splitlines(True), filename))
+    codes, entry = _KERNELS[kind]
     linecache.cache[entry[3]] = entry
-    return code
+    return codes
 
 
 class _Engine:
     """Hot-path evaluation of the platoon right-hand side.
 
-    State layout is a flat list [x_0, v_0, x_1, v_1, ...]. deriv and step
-    are the law's generated kernel functions. Each deriv or step call
+    State layout is a flat list [x_0, v_0, x_1, v_1, ...]. deriv, step and
+    march are the law's generated kernel functions. Each deriv or step call
     stashes the per-follower branch gap (min-law operand difference), the
     minimum headway, and its follower index at the point it returns, so event
-    checks at accepted points cost nothing extra.
+    checks at accepted points cost nothing extra; march leaves only the
+    branch gaps of its last step.
     """
 
     def __init__(self, s: Scenario):
@@ -275,14 +345,17 @@ class _Engine:
         ns = {"kv": base.k_v, "kd": base.k_d, "kk": base.k, "ts": base.tau_s,
               "n": self.n, "size": self.size, "forcing": self.forcing, "phi": self.phi,
               "eng": self, "inf": math.inf, "tanh": math.tanh, "TANH2": TANH2,
-              "_Singular": _Singular}
+              "v_bar": self.v_bar, "TIE_TOLERANCE": TIE_TOLERANCE, "_signs": _signs,
+              "_flipped": _flipped, "_Singular": _Singular, "_HandBack": _HandBack}
         if s.model_kind is ModelKind.CACC:
             if not isinstance(s.params, CaccParams):
                 raise ScenarioError([])
             ns.update(ka=s.params.k_a, gdd=1.0 / s.params.d - 1.0 / s.params.d_l)
-        exec(_kernel(s.model_kind), ns)
+        for code in _kernel(s.model_kind):
+            exec(code, ns)
         self.deriv = ns["deriv"]
         self.step = ns["step"]
+        self.march = ns["march"]
 
 
 def _forcing(accel, a_fixed, controls, u_fixed):
@@ -304,21 +377,18 @@ class _RunState:
     """Settings and counters of one simulate call (guard_tol None: no guard).
 
     The counters change only on event paths. rhs_evals counts the law
-    evaluations of collision location and clamps; simulate derives the rest.
-    restarting is set during a switch restart, to tell a run stopped there
-    from one stopped at a trial step.
+    evaluations made outside march; simulate adds march's own.
     """
 
     __slots__ = ("switch_tol", "guard_tol", "events", "switch_refinements", "event_cap_hits",
                  "switch_bisection_evals", "collision_bisection_evals", "guard_clamps",
-                 "rhs_evals", "restarting")
+                 "rhs_evals")
 
     def __init__(self, switch_tol: float, guard_tol: float | None):
         self.switch_tol, self.guard_tol = switch_tol, guard_tol
         self.events: list[SwitchEvent] = []
         self.switch_refinements = self.event_cap_hits = self.guard_clamps = self.rhs_evals = 0
         self.switch_bisection_evals = self.collision_bisection_evals = 0
-        self.restarting = False
 
 
 class _Collision(Exception):
@@ -337,10 +407,13 @@ def _advance(eng: _Engine, run: _RunState, t: float, y: list[float], f,
              signs: list[int], target: float):
     """March from the accepted node (t, y), whose branch signs are signs, to target.
 
-    Returns (y, f, phi, signs) at target, after the speed-box guard. Raises
+    Returns (y, f, signs) at target, after the speed-box guard. Raises
     _Collision or _Guard with the final node when the run must stop early.
+    A switch refinement counts once its restart step reaches the switch
+    without a collision.
     """
     for _ in range(_MAX_EVENTS_PER_STEP):
+        run.rhs_evals += 4
         try:
             y_trial, f_trial = eng.step(t, y, target - t, f, target)
             crossed = eng.minh <= 0.0
@@ -348,35 +421,29 @@ def _advance(eng: _Engine, run: _RunState, t: float, y: list[float], f,
             crossed = True
         if crossed:
             raise _collision(eng, run, t, y, f, target)
-        if eng.branches:
-            phi_trial = eng.phi[:]
-            signs_trial = _signs(phi_trial)
-        else:
-            phi_trial, signs_trial = eng.phi, signs
-        if signs_trial == signs or not _flipped(signs, signs_trial):
-            return _apply_guard(eng, run, target, y_trial, f_trial, phi_trial, signs_trial)
+        signs_trial = _signs(eng.phi)
+        if not _flipped(signs, signs_trial):
+            return _apply_guard(eng, run, target, y_trial, f_trial, signs_trial)
 
         lo, hi = _bisect(eng, run, t, y, f, target, signs)
-        run.switch_refinements += 1
-        run.restarting = True
+        run.rhs_evals += 4
         try:
             y_hi, f_hi = eng.step(t, y, hi - t, f, hi)
             if eng.minh <= 0.0:
                 raise _Singular(eng.minh_idx)
         except _Singular:
             raise _collision(eng, run, t, y, f, hi)
-        phi_hi = eng.phi[:]
-        signs_hi = _signs(phi_hi)
+        run.switch_refinements += 1
+        signs_hi = _signs(eng.phi)
         mid_time = 0.5 * (lo + hi)
         for i, (a, b) in enumerate(zip(signs, signs_hi)):
             if a * b == -1:
                 run.events.append(SwitchEvent(mid_time, i + 1, _FLAG_OF_SIGN[a], _FLAG_OF_SIGN[b]))
         t = hi
-        y, f, _, signs = _apply_guard(eng, run, hi, y_hi, f_hi, phi_hi, signs_hi)
-        run.restarting = False
+        y, f, signs = _apply_guard(eng, run, hi, y_hi, f_hi, signs_hi)
     # The event cap was hit: accept the last trial as is.
     run.event_cap_hits += 1
-    return _apply_guard(eng, run, target, y_trial, f_trial, phi_trial, signs_trial)
+    return _apply_guard(eng, run, target, y_trial, f_trial, signs_trial)
 
 
 def _bisect(eng: _Engine, run: _RunState, t: float, y: list[float], f, hi: float,
@@ -401,6 +468,7 @@ def _bisect(eng: _Engine, run: _RunState, t: float, y: list[float], f, hi: float
         run.collision_bisection_evals += calls
     else:
         run.switch_bisection_evals += calls
+    run.rhs_evals += 4 * calls
     return lo, hi
 
 
@@ -423,15 +491,12 @@ def _collision(eng: _Engine, run: _RunState, t: float, y: list[float],
 
 
 def _apply_guard(eng: _Engine, run: _RunState, t: float, y: list[float], f,
-                 phi: list[float], signs: list[int]):
-    """Clamp float-noise speed-box exits and return (y, f, phi, signs); raise _Guard
+                 signs: list[int]):
+    """Clamp float-noise speed-box exits and return (y, f, signs); raise _Guard
     on anything larger."""
     guard_tol, v_bar = run.guard_tol, eng.v_bar
     if guard_tol is None:  # a law with no speed box
-        return y, f, phi, signs
-    vs = y[3::2]
-    if not vs or (min(vs) >= 0.0 and max(vs) <= v_bar):
-        return y, f, phi, signs
+        return y, f, signs
     clamped = 0
     for i in range(1, eng.n):
         v = y[2 * i + 1]
@@ -444,9 +509,8 @@ def _apply_guard(eng: _Engine, run: _RunState, t: float, y: list[float], f,
         run.guard_clamps += clamped
         run.rhs_evals += 1
         f = eng.deriv(t, y)
-        phi = eng.phi[:]
-        signs = _signs(phi)
-    return y, f, phi, signs
+        signs = _signs(eng.phi)
+    return y, f, signs
 
 
 def rhs(s: Scenario, t: float, state: PlatoonState) -> list[float]:
@@ -509,66 +573,69 @@ def simulate(s: Scenario, *, validate: bool = True) -> SolveResult:
 
     eng = _Engine(s)
     run = _RunState(s.switch_tol, s.stepper.guard_tol if s.model_kind is ModelKind.PROPOSED else None)
-    n, branches = eng.n, eng.branches
+    n = eng.n
     grid = time_grid(s)
     n_steps = len(grid) - 1
 
-    times = np.empty(n_steps + 1)
-    Y = np.empty((n_steps + 1, 2 * n))
-    P = np.empty((n_steps + 1, n - 1))
-
+    size = eng.size
+    Y = np.empty((n_steps + 1, size))
+    flat = Y.reshape(-1)  # a view, Y being C-contiguous
+    S = np.empty((n_steps + 1, n - 1), dtype=np.int8)
     y = [c for veh in s.initial.vehicles for c in (veh.x, veh.v)]
     t = 0.0
-    f = eng.deriv(t, y)
-    signs = _signs(eng.phi)
-    times[0], Y[0], P[0] = t, y, eng.phi
     status = SolveStatus.COMPLETED
     collision = guard_violation = None
-    rows = 1
-    steps_taken = 0
+    stopped_at: list[float] = []
+    # Rows 0 .. k - 1 hold the accepted grid points; k is the next step.
+    k = 1
+    marched = 0  # steps march took, the trials it handed back included
     try:
-        for i in range(1, n_steps + 1):
-            target = grid[i]
-            y, f, phi, signs = _advance(eng, run, t, y, f, signs, target)
-            t = target
-            times[rows] = t
-            Y[rows] = y
-            if branches:
-                P[rows] = phi
-            rows += 1
-            steps_taken += 1
+        f = eng.deriv(t, y)
+        signs = _signs(eng.phi)
+        Y[0], S[0] = y, signs
+        while k <= n_steps:
+            end = min(k + _BLOCK_ROWS, n_steps + 1)
+            ys, ss = [], []
+            S[k:end] = signs
+            j, t, y, f, signs = eng.march(t, y, f, signs, grid, k, end, ys, ss)
+            flat[k * size:j * size] = ys
+            for i, sg in ss:
+                S[i:j] = sg
+            marched += j - k
+            k = j
+            if k < end:
+                marched += 1
+                y, f, signs = _advance(eng, run, t, y, f, signs, grid[k])
+                t = grid[k]
+                Y[k], S[k] = y, signs
+                k += 1
     except (_Collision, _Guard) as stop:
         if isinstance(stop, _Collision):
             status, collision = SolveStatus.COLLISION_DETECTED, (stop.t, stop.follower)
         else:
             status, guard_violation = SolveStatus.GUARD_TRIPPED, (stop.follower, stop.velocity)
         if stop.t > t:
-            times[rows], Y[rows], P[rows] = stop.t, stop.y, eng.phi
-            rows += 1
+            Y[k], S[k] = stop.y, _signs(eng.phi)
+            stopped_at = [stop.t]
     except _Singular as e:
         # Initial state itself is infeasible; validation should have caught it.
         raise ValueError(f"headway ahead of follower {e.args[0]} is not positive") from None
 
-    if branches:
-        P = P[:rows]
-        codes = np.where(P > TIE_TOLERANCE, BranchFlag.CONTROL, np.where(
-            P < -TIE_TOLERANCE, BranchFlag.GAP, BranchFlag.TIE)).astype(np.int8)
+    times = np.array(grid[:k] + stopped_at)
+    rows = len(times)
+    if eng.branches:
+        codes = _CODE_OF_SIGN[S[:rows] + 1]
     else:
         codes = np.zeros((rows, n - 1), dtype=np.int8)
-    traj = Trajectory(times=times[:rows].copy(), positions=Y[:rows, 0::2],
-                      velocities=Y[:rows, 1::2], branches=codes, collision=collision)
-    # An accepted step tried one step more than it refined switches (a capped
-    # step as many), and a run stopped at a trial, not at a restart, one more.
-    trials = steps_taken + run.switch_refinements - run.event_cap_hits
-    trials += status is not SolveStatus.COMPLETED and not run.restarting
+    traj = Trajectory(times=times, positions=Y[:rows, 0::2], velocities=Y[:rows, 1::2],
+                      branches=codes, collision=collision)
     stats = SolveStats(
-        steps=steps_taken,
+        steps=k - 1,
         switch_refinements=run.switch_refinements,
         switch_events=tuple(run.events),
         guard_violation=guard_violation,
         event_cap_hits=run.event_cap_hits,
-        rhs_evals=1 + run.rhs_evals + 4 * (trials + run.switch_refinements
-                                           + run.switch_bisection_evals + run.collision_bisection_evals),
+        rhs_evals=1 + run.rhs_evals + 4 * marched,
         switch_bisection_evals=run.switch_bisection_evals,
         collision_bisection_evals=run.collision_bisection_evals,
         guard_clamps=run.guard_clamps,

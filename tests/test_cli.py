@@ -59,6 +59,15 @@ class TestSimulate:
         assert sorted(manifest["outputs"]) == ["manifest.json", "trajectory.csv"]
         assert "completed" in capsys.readouterr().out
 
+    def test_manifest_carries_every_solve_counter(self, tmp_path):
+        assert run("simulate", "--preset", "fig1_left", "--out", str(tmp_path)) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        stats = simulate(load_preset("fig1_left").scenario).stats
+        for key in ("steps", "switch_refinements", "event_cap_hits", "rhs_evals",
+                    "switch_bisection_evals", "collision_bisection_evals", "guard_clamps"):
+            assert manifest[key] == getattr(stats, key)
+        assert manifest["switch_bisection_evals"] > 0
+
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "s.ini"
         cfg.write_text(SWEEP_CFG, encoding="utf-8")

@@ -15,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from platoonsim import (
+    PRESET_NAMES,
     BranchFlag,
+    CaccParams,
     ModelKind,
     PlatoonState,
     accel_cacc,
@@ -190,6 +192,9 @@ def test_simulate_rejects_invalid_scenario(fig1_left_scenario):
                   initial=PlatoonState((VehicleState(0.0, 1.0), VehicleState(0.0, 0.0))))
     with pytest.raises(ScenarioError):
         simulate(bad)
+    # Unvalidated, a singular law refuses the initial state itself.
+    with pytest.raises(ValueError, match="headway ahead of follower 1 is not positive"):
+        simulate(bad, validate=False)
 
 
 class TestReferenceSolve:
@@ -343,12 +348,12 @@ def test_guard_clamps_float_noise_at_either_edge_of_the_box(fig1_left_scenario, 
     y = [5.0, 1.0, 0.0, v]
     f = eng.deriv(0.0, y)
     run = integrator._RunState(1e-7, 1e-9)
-    y, f, phi, signs = integrator._apply_guard(eng, run, 0.0, y, f, eng.phi[:], [7])
+    y, f, signs = integrator._apply_guard(eng, run, 0.0, y, f, [7])
     assert y[3] == clamped
     assert f == eng.deriv(0.0, [5.0, 1.0, 0.0, clamped])
-    assert phi == eng.phi
     # the signs are recomputed after a clamp and passed through otherwise
     assert signs == ([1] if v != clamped else [7])
+    assert v == clamped or signs == integrator._signs(eng.phi)
     assert run.guard_clamps == run.rhs_evals == (v != clamped)
 
 
@@ -358,7 +363,7 @@ def test_guard_trips_just_outside_the_noise_band(fig1_left_scenario, v):
     y = [5.0, 1.0, 0.0, v]
     with pytest.raises(integrator._Guard):
         integrator._apply_guard(eng, integrator._RunState(1e-7, 1e-9), 0.0, y,
-                                eng.deriv(0.0, y), eng.phi[:], [1])
+                                eng.deriv(0.0, y), [1])
 
 
 def test_ovfl_engine_evaluates_only_the_leader_profile(monkeypatch):
@@ -494,15 +499,15 @@ def test_one_kernel_code_object_per_law_at_any_platoon_size(preset):
         base,
         initial=PlatoonState(tuple(VehicleState(2.0 * (n - 1 - i), 1.0) for i in range(n))),
         controls=base.controls[:1] * (n - 1))) for n in (2, 64, 512)]
-    for name in ("deriv", "step"):
+    for name in ("deriv", "step", "march"):
         code = getattr(engines[0], name).__code__
         assert all(getattr(e, name).__code__ is code for e in engines)
 
 
 def _counted_simulate(monkeypatch, s):
-    """simulate(s) and the engine calls it really made: step and deriv calls,
-    the steps tried by switch and by collision bisections, and clamped
-    velocities."""
+    """simulate(s) and the engine calls it really made: steps (step calls and
+    the steps march took, a trial it handed back included), deriv calls, the
+    steps tried by switch and by collision bisections, and clamped velocities."""
     calls = {"step": 0, "deriv": 0, "switch": 0, "collision": 0, "clamps": 0}
     init, bisect, apply_guard = integrator._Engine.__init__, integrator._bisect, integrator._apply_guard
 
@@ -513,6 +518,12 @@ def _counted_simulate(monkeypatch, s):
                 calls[name] += 1
                 return fn(*args)
             setattr(eng, name, counted)
+
+        def counted_march(t, y, f, signs, grid, k, end, *rest, fn=eng.march):
+            out = fn(t, y, f, signs, grid, k, end, *rest)
+            calls["step"] += out[0] - k + (out[0] < end)
+            return out
+        eng.march = counted_march
 
     def counting_bisect(eng, run, t, y, f, hi, signs):
         before = calls["step"]
@@ -571,9 +582,97 @@ def test_solve_counters_match_the_engine_calls(case, monkeypatch):
     assert stats.switch_bisection_evals == calls["switch"]
     assert stats.collision_bisection_evals == calls["collision"]
     assert stats.guard_clamps == calls["clamps"]
+    # A refinement counts once its restart step has located the switch.
+    assert stats.switch_refinements == len({e.time for e in stats.switch_events})
+    if case == "collision at a restart":
+        assert stats.switch_bisection_evals > 0
+        assert stats.switch_refinements == 0
 
 
 def test_a_switch_free_run_evaluates_the_law_four_times_a_step_and_once_more():
     stats = simulate(load_preset("order_check").scenario).stats
     assert stats.switch_refinements == stats.guard_clamps == 0
     assert stats.rhs_evals == 4 * stats.steps + 1
+
+
+def _hand_back_every_step(monkeypatch):
+    """Make every engine's march hand its first step back, so that simulate
+    takes each step through _advance, the event path."""
+    init = integrator._Engine.__init__
+
+    def init_without_march(eng, scenario):
+        init(eng, scenario)
+        eng.march = lambda t, y, f, signs, grid, k, *rest: (k, t, y, f, signs)
+
+    monkeypatch.setattr(integrator._Engine, "__init__", init_without_march)
+
+
+def _law_variants(s):
+    base = s.base_params
+    cacc = s.params if isinstance(s.params, CaccParams) else CaccParams(base)
+    return [replace(s, model_kind=ModelKind.PROPOSED, params=base),
+            replace(s, model_kind=ModelKind.CACC, params=cacc),
+            replace(s, model_kind=ModelKind.OVFL, params=base)]
+
+
+def _run_bits(s):
+    """Everything a run returns, as bytes where it is an array; rhs_evals
+    left out, as a handed-back trial is evaluated twice."""
+    res = simulate(s, validate=False)
+    traj = res.trajectory
+    return ([getattr(traj, k).tobytes() for k in ("times", "positions", "velocities", "branches")],
+            traj.collision, res.status, replace(res.stats, rhs_evals=0))
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_march_matches_the_event_path_step_by_step(preset, monkeypatch):
+    """march's steps, sign checks and block recording give the same run, bit
+    for bit, as taking every step through _advance, under all three laws."""
+    runs = _law_variants(load_preset(preset).scenario)
+    marched = [_run_bits(s) for s in runs]
+    _hand_back_every_step(monkeypatch)
+    assert [_run_bits(s) for s in runs] == marched
+
+
+# The counted runs, and two runs through a tie with their first branch codes:
+# phi starts at 5.6e-17 and reaches the gap branch in the first step, or
+# starts at 3e-4 and is 5.6e-17 after the first step, -3e-4 after the second.
+_EVENT_RUNS = {**{case: (*run[:2], None) for case, run in _COUNTED_RUNS.items()},
+               "leaving a tie": (lambda: _pair("fig1_left", (2.75, 1.0), (0.0, 1.0), 0.01),
+                                 64, [BranchFlag.TIE, BranchFlag.GAP]),
+               "through a tie": (lambda: _pair("fig1_left", (2.7515243830598037, 1.0), (0.0, 1.0), 0.01),
+                                 64, [BranchFlag.CONTROL, BranchFlag.TIE, BranchFlag.GAP])}
+
+
+@pytest.mark.parametrize("case", sorted(_EVENT_RUNS))
+def test_march_matches_the_event_path_on_each_event_kind(case, monkeypatch):
+    """The same on the runs that clamp, trip the guard, hit the event cap,
+    collide at a trial and at a switch restart, and enter or leave a tie."""
+    scenario, cap, codes = _EVENT_RUNS[case]
+    monkeypatch.setattr(integrator, "_MAX_EVENTS_PER_STEP", cap)
+    if codes:
+        assert simulate(scenario()).trajectory.branches[:len(codes), 0].tolist() == codes
+    marched = _run_bits(scenario())
+    _hand_back_every_step(monkeypatch)
+    assert _run_bits(scenario()) == marched
+
+
+@pytest.mark.parametrize("preset, event_step", [
+    ("fig1_left", integrator._BLOCK_ROWS), ("fig1_left", integrator._BLOCK_ROWS + 1),
+    ("fig1_right_cacc", integrator._BLOCK_ROWS), ("fig1_right_cacc", integrator._BLOCK_ROWS + 1)])
+def test_an_event_on_a_block_boundary(preset, event_step, monkeypatch):
+    """A switch (fig1_left) or a collision (fig1_right_cacc) in the last step
+    of march's first block or the first step of its second: the run is the
+    event path's bit for bit."""
+    def event_time(s):
+        res = simulate(s)
+        return res.stats.switch_events[0].time if res.stats.switch_events else res.trajectory.collision[0]
+
+    s = load_preset(preset).scenario
+    t_event = event_time(s)
+    dt = t_event / (event_step - 0.5)
+    s = replace(s, horizon=2.0 * t_event, stepper=replace(s.stepper, dt=dt))
+    assert math.ceil(event_time(s) / dt) == event_step
+    marched = _run_bits(s)
+    _hand_back_every_step(monkeypatch)
+    assert _run_bits(s) == marched
