@@ -43,7 +43,8 @@ import numpy as np
 
 from .core import (CaccParams, ModelKind, PlatoonState, Scenario, ScenarioError, StepperConfig,
                    Trajectory, validate_scenario)
-from .models import TANH2, TIE_TOLERANCE, BranchFlag
+from .models import (_FLAG_OF_SIGN, _LAWS, TANH2, TIE_TOLERANCE, BranchFlag, _Singular, _signs,
+                     _uses)
 
 __all__ = ["SolveStatus", "SwitchEvent", "SolveStats", "SolveResult", "StepperConfig", "rhs",
            "simulate", "reference_solve", "time_grid", "trajectory_mismatches"]
@@ -96,17 +97,8 @@ class SolveResult:
     stats: SolveStats
 
 
-class _Singular(Exception):
-    """Internal: a singular law was asked for a non-positive headway."""
-
-
 class _HandBack(Exception):
     """Internal: march met a step end that only _advance may accept."""
-
-
-def _signs(phi: list[float]) -> list[int]:
-    """Branch sign per follower: 1 control, -1 gap, 0 tie (within TIE_TOLERANCE)."""
-    return [(p > TIE_TOLERANCE) - (p < -TIE_TOLERANCE) for p in phi]
 
 
 def _flipped(signs: list[int], other: list[int]) -> bool:
@@ -114,47 +106,8 @@ def _flipped(signs: list[int], other: list[int]) -> bool:
     return -1 in [a * b for a, b in zip(signs, other)]
 
 
-_FLAG_OF_SIGN = {1: BranchFlag.CONTROL, -1: BranchFlag.GAP}
 # Branch code of sign + 1, for recorded sign rows.
-_CODE_OF_SIGN = np.array([BranchFlag.GAP, BranchFlag.TIE, BranchFlag.CONTROL], dtype=np.int8)
-
-
-# Per-follower law bodies: the engine's single definition of each law. A body
-# reads the follower's stage state (x, v), its predecessor's (xp, vp), its
-# control u and, under CACC, the predecessor's acceleration ap. It sets the
-# headway hh and the acceleration a, and a min-type body also sets the two
-# operands of the min, g (gap or spacing term) and c (control term). The float
-# operations are those of models.accel_*, in the same order.
-_LAWS = {
-    ModelKind.PROPOSED: """\
-hh = xp - x
-if hh <= 0.0: raise _Singular(i)
-g = kv * (vp - v) / (hh * hh) + kd * (hh - ts * v)
-c = kk * (u - v)
-a = g if g < c else c
-""",
-    ModelKind.CACC: """\
-hh = xp - x
-gam = ts * v
-q = gdd * v * v
-if q > gam:
-    gam = q
-if gam < 2.0:
-    gam = 2.0
-g = ka * ap + kv * (vp - v) + kd * (hh - gam)
-c = kk * (u - v)
-a = g if g < c else c
-""",
-    ModelKind.OVFL: """\
-hh = xp - x
-if hh <= 0.0: raise _Singular(i)
-a = kv * (vp - v) / (hh * hh) + kd * (tanh(hh - 2.0) + TANH2 - v)
-""",
-}
-
-
-def _uses(body: str, name: str) -> bool:
-    return re.search(rf"\b{name}\b", body) is not None
+_CODE_OF_SIGN = np.array(_FLAG_OF_SIGN, dtype=np.int8)
 
 
 def _platoon_pass(body: str, state, store, checks: list[str], sfx: str = "", at: str = ""):
@@ -438,7 +391,8 @@ def _advance(eng: _Engine, run: _RunState, t: float, y: list[float], f,
         mid_time = 0.5 * (lo + hi)
         for i, (a, b) in enumerate(zip(signs, signs_hi)):
             if a * b == -1:
-                run.events.append(SwitchEvent(mid_time, i + 1, _FLAG_OF_SIGN[a], _FLAG_OF_SIGN[b]))
+                run.events.append(SwitchEvent(mid_time, i + 1, _FLAG_OF_SIGN[a + 1],
+                                              _FLAG_OF_SIGN[b + 1]))
         t = hi
         y, f, signs = _apply_guard(eng, run, hi, y_hi, f_hi, signs_hi)
     # The event cap was hit: accept the last trial as is.

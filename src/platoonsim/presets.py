@@ -1,8 +1,9 @@
 """Named preset scenarios, stored in the same config format users write.
 
-The fig1 family shares one parameter set (k_v=1, k_d=0.2, k=0.3,
-tau_s=1.4, u=1.9, speed cap 2, leader cruising at 1 with zero
-acceleration, T=100) and differs in the initial pair state and the model.
+Every preset is rendered from one template, _preset, and shares one
+parameter set (k_v=1, k_d=0.2, k=0.3, tau_s=1.4, u=1.9, speed cap 2,
+dt=0.01). The fig1 family (leader cruising at 1 with zero acceleration,
+T=100) differs in the initial pair state and the model.
 The left start (5, 0, 1, 0) is a wide gap with a standing follower; the
 right start (0.1, 0, 1, 1.485) is a near-collision tailgate. The remaining
 presets cover the close-initial-conditions pairs, the envelope
@@ -31,11 +32,10 @@ _EQ_GAP = 1.4 * 1.9
 _OVFL_EQ_GAP = 2.0 + math.atanh(1.9 - math.tanh(2.0))
 
 
-def _fig1(model: str, variant: str) -> str:
-    if variant == "left":
-        positions, velocities = "5, 0", "1, 0"
-    else:
-        positions, velocities = "0.1, 0", "1, 1.485"
+def _preset(positions: str, velocities: str, model: str = "proposed", T: int = 100,
+            v0: float = 1.0, profile: str = "const 0.0", extra: str = "") -> str:
+    """A preset's config text: the fig1 parameter set, a constant control
+    u = 1.9 and dt = 0.01 over [0, T], and the extra sections, if any."""
     return f"""\
 [params]
 model_kind = {model}
@@ -46,116 +46,40 @@ tau_s = 1.4
 v_bar = 2.0
 u_min = 0.1
 u_max = 1.95
-T = 100.0
+T = {float(T)!r}
 
 [initial]
 positions = {positions}
 velocities = {velocities}
 
 [leader]
-v0 = 1.0
-profile = 0 100 const 0.0
+v0 = {v0!r}
+profile = 0 {T} {profile}
 
 [controls]
-u = 0 100 const 1.9
+u = 0 {T} const 1.9
 
 [stepper]
 dt = 0.01
-"""
+""" + extra
+
+
+_FIG1_STARTS = {"left": ("5, 0", "1, 0"), "right": ("0.1, 0", "1, 1.485")}
 
 
 def _fig3(which: str, delta: float) -> str:
     if which == "a":
-        positions = f"5, {delta!r}"
-        velocities = f"1, {delta!r}"
-        leader_v0 = 1.0
-    else:
-        positions = f"{5.0 + delta!r}, 0"
-        velocities = f"{1.0 + delta!r}, 0"
-        leader_v0 = 1.0 + delta
-    return f"""\
-[params]
-model_kind = proposed
-k_v = 1.0
-k_d = 0.2
-k = 0.3
-tau_s = 1.4
-v_bar = 2.0
-u_min = 0.1
-u_max = 1.95
-T = 100.0
-
-[initial]
-positions = {positions}
-velocities = {velocities}
-
-[leader]
-v0 = {leader_v0!r}
-profile = 0 100 const 0.0
-
-[controls]
-u = 0 100 const 1.9
-
-[stepper]
-dt = 0.01
-"""
+        return _preset(f"5, {delta!r}", f"1, {delta!r}")
+    return _preset(f"{5.0 + delta!r}, 0", f"{1.0 + delta!r}, 0", v0=1.0 + delta)
 
 
-_FIG4 = """\
-[params]
-model_kind = proposed
-k_v = 1.0
-k_d = 0.2
-k = 0.3
-tau_s = 1.4
-v_bar = 2.0
-u_min = 0.1
-u_max = 1.95
-T = 10.0
+def _equilibrium(model: str, gap: float) -> str:
+    return _preset(f"{2.0 * gap!r}, {gap!r}, 0", "1.9, 1.9, 1.9", model, v0=1.9)
 
-[initial]
-positions = 1, 0
-velocities = 0.1, 0.5
-
-[leader]
-v0 = 0.1
-profile = 0 10 const 0.0
-
-[controls]
-u = 0 10 const 1.9
-
-[stepper]
-dt = 0.01
-"""
 
 # Perturbation shape before normalization: 0.05 sin(t/2) + 0.02 t/T, with a
 # -0.02 step after T/2. Slope and phase continue across the step.
-_FIG5 = f"""\
-[params]
-model_kind = proposed
-k_v = 1.0
-k_d = 0.2
-k = 0.3
-tau_s = 1.4
-v_bar = 2.0
-u_min = 0.1
-u_max = 1.95
-T = 60.0
-
-[initial]
-positions = 2.05, 0
-velocities = 1.4, 1.3
-
-[leader]
-v0 = 1.4
-profile = 0 60 const 0.0
-
-[controls]
-u = 0 60 const 1.9
-
-[stepper]
-dt = 0.01
-
+_FIG5_PERTURBATION = f"""
 [perturbation]
 g = 0 30 wave 0.0 {0.02 / 60.0!r} 0.05 0.5 0.0
     30 60 wave -0.01 {0.02 / 60.0!r} 0.05 0.5 15.0
@@ -164,119 +88,7 @@ strict = false
 normalize = true
 """
 
-_EQUILIBRIUM = f"""\
-[params]
-model_kind = proposed
-k_v = 1.0
-k_d = 0.2
-k = 0.3
-tau_s = 1.4
-v_bar = 2.0
-u_min = 0.1
-u_max = 1.95
-T = 100.0
-
-[initial]
-positions = {2.0 * _EQ_GAP!r}, {_EQ_GAP!r}, 0
-velocities = 1.9, 1.9, 1.9
-
-[leader]
-v0 = 1.9
-profile = 0 100 const 0.0
-
-[controls]
-u = 0 100 const 1.9
-
-[stepper]
-dt = 0.01
-"""
-
-_EQUILIBRIUM_CACC = _EQUILIBRIUM.replace("model_kind = proposed", "model_kind = cacc")
-
-_EQUILIBRIUM_OVFL = f"""\
-[params]
-model_kind = ovfl
-k_v = 1.0
-k_d = 0.2
-k = 0.3
-tau_s = 1.4
-v_bar = 2.0
-u_min = 0.1
-u_max = 1.95
-T = 100.0
-
-[initial]
-positions = {2.0 * _OVFL_EQ_GAP!r}, {_OVFL_EQ_GAP!r}, 0
-velocities = 1.9, 1.9, 1.9
-
-[leader]
-v0 = 1.9
-profile = 0 100 const 0.0
-
-[controls]
-u = 0 100 const 1.9
-
-[stepper]
-dt = 0.01
-"""
-
-# Convergence-order scenario: the forward-looking law has no branch surface,
-# so every run is switch-free by construction, and the sinusoidal lead
-# acceleration keeps the truncation error well above roundoff at fine steps.
-# Start is offset from the resting gap for the initial lead speed.
-_ORDER_CHECK = """\
-[params]
-model_kind = ovfl
-k_v = 1.0
-k_d = 0.2
-k = 0.3
-tau_s = 1.4
-v_bar = 2.0
-u_min = 0.1
-u_max = 1.95
-T = 10.0
-
-[initial]
-positions = 2.2, 0
-velocities = 1.2, 1.0
-
-[leader]
-v0 = 1.2
-profile = 0 10 wave 0.0 0.0 0.45 3.0 0.0
-
-[controls]
-u = 0 10 const 1.9
-
-[stepper]
-dt = 0.01
-"""
-
-_SWEEP_DEMO = """\
-[params]
-model_kind = proposed
-k_v = 1.0
-k_d = 0.2
-k = 0.3
-tau_s = 1.4
-v_bar = 2.0
-u_min = 0.1
-u_max = 1.95
-T = 100.0
-
-[initial]
-positions = 5, 0
-velocities = 1, 0
-
-[leader]
-v0 = 1.0
-profile = 0 100 const 0.0
-
-[controls]
-u = 0 100 const 1.9
-
-[stepper]
-dt = 0.01
-
+_SWEEP = """
 [sweep]
 n = 2, 4, 8
 headways = 0.1, 0.25, 0.5, 1, 2, 3, 5
@@ -284,25 +96,23 @@ velocities = 0, 0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8
 """
 
 _PRESETS: dict[str, str] = {
-    "fig1_left": _fig1("proposed", "left"),
-    "fig1_right": _fig1("proposed", "right"),
-    "fig1_left_cacc": _fig1("cacc", "left"),
-    "fig1_right_cacc": _fig1("cacc", "right"),
-    "fig1_left_ovfl": _fig1("ovfl", "left"),
-    "fig1_right_ovfl": _fig1("ovfl", "right"),
-    "fig3a_0": _fig3("a", 0.0),
-    "fig3a_005": _fig3("a", 0.05),
-    "fig3a_01": _fig3("a", 0.1),
-    "fig3b_0": _fig3("b", 0.0),
-    "fig3b_005": _fig3("b", 0.05),
-    "fig3b_01": _fig3("b", 0.1),
-    "fig4": _FIG4,
-    "fig5": _FIG5,
-    "equilibrium": _EQUILIBRIUM,
-    "equilibrium_cacc": _EQUILIBRIUM_CACC,
-    "equilibrium_ovfl": _EQUILIBRIUM_OVFL,
-    "order_check": _ORDER_CHECK,
-    "sweep_demo": _SWEEP_DEMO,
+    **{f"fig1_{side}{suffix}": _preset(*start, model)
+       for side, start in _FIG1_STARTS.items()
+       for model, suffix in (("proposed", ""), ("cacc", "_cacc"), ("ovfl", "_ovfl"))},
+    **{f"fig3{which}_{tag}": _fig3(which, delta)
+       for which in "ab" for tag, delta in (("0", 0.0), ("005", 0.05), ("01", 0.1))},
+    "fig4": _preset("1, 0", "0.1, 0.5", T=10, v0=0.1),
+    "fig5": _preset("2.05, 0", "1.4, 1.3", T=60, v0=1.4, extra=_FIG5_PERTURBATION),
+    "equilibrium": _equilibrium("proposed", _EQ_GAP),
+    "equilibrium_cacc": _equilibrium("cacc", _EQ_GAP),
+    "equilibrium_ovfl": _equilibrium("ovfl", _OVFL_EQ_GAP),
+    # Convergence-order scenario: the forward-looking law has no branch
+    # surface, so every run is switch-free by construction, and the sinusoidal
+    # lead acceleration keeps the truncation error well above roundoff at fine
+    # steps. Start is offset from the resting gap for the initial lead speed.
+    "order_check": _preset("2.2, 0", "1.2, 1.0", "ovfl", T=10, v0=1.2,
+                           profile="wave 0.0 0.0 0.45 3.0 0.0"),
+    "sweep_demo": _preset("5, 0", "1, 0", extra=_SWEEP),
 }
 
 PRESET_NAMES = tuple(sorted(_PRESETS))

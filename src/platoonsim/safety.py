@@ -290,37 +290,28 @@ def certify_trajectory(traj: Trajectory, env: SafetyEnvelope, tol: float = 1e-6,
     return CertReport(tuple(checks), len(times), tol)
 
 
-def estimate_lipschitz(p: ModelParams, box: tuple[tuple[float, float], tuple[float, float]],
-                       samples_per_axis: int = 100) -> float:
-    """Sampled upper bound on the acceleration map's gradient norm over a box.
+def estimate_lipschitz(p: ModelParams,
+                       box: tuple[tuple[float, float], tuple[float, float]]) -> float:
+    """Supremum of the acceleration map's gradient norm over a box.
 
     box is ((h_min, h_max), (v_min, v_max)); the velocity range is used for
-    both the leader's and the follower's speed. Both branches of the min are
-    sampled (the min's a.e. gradient is one of the two), the largest
-    Euclidean gradient norm wins, and a 1.5 safety factor covers the gaps
-    between samples. The grid is capped at 10^6 points.
+    both the leader's and the follower's speed. The min's a.e. gradient is
+    one of its two branches': the control branch's norm is k, and for
+    nonnegative gains the gap branch's Euclidean norm is largest at the
+    corner h = h_min, v_l = v_min, v = v_max, where every partial derivative
+    has its largest magnitude.
     """
     (h_min, h_max), (v_min, v_max) = box
     if not h_min > 0.0:
         raise ValueError("h range must stay positive (singular law)")
     if h_min > h_max or v_min > v_max:
         raise ValueError("empty box")
-    n = samples_per_axis
-    if n < 1:
-        raise ValueError("samples_per_axis must be at least 1")
-    while n > 1 and n ** 3 > 1_000_000:
-        n -= 1
-    hs = np.linspace(h_min, h_max, n)
-    vs = np.linspace(v_min, v_max, n)
-    h = hs[:, None, None]
-    v_l = vs[None, :, None]
-    v = vs[None, None, :]
+    h = h_min
     inv2 = 1.0 / (h * h)
-    d_h = -2.0 * p.k_v * (v_l - v) * inv2 / h + p.k_d
+    d_h = -2.0 * p.k_v * (v_min - v_max) * inv2 / h + p.k_d
     d_vl = p.k_v * inv2
     d_v = -p.k_v * inv2 - p.k_d * p.tau_s
-    gap_norm = float(np.sqrt(d_h * d_h + d_vl * d_vl + d_v * d_v).max())
-    return 1.5 * max(gap_norm, p.k)
+    return max(math.sqrt(d_h * d_h + d_vl * d_vl + d_v * d_v), p.k)
 
 
 def gronwall_bound(C_L: float, T: float, init_dist: float) -> float:

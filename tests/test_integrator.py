@@ -6,6 +6,9 @@ Golden numbers in this file were produced by the fine-step reference solver
 """
 
 import math
+import os
+import subprocess
+import sys
 import traceback
 from dataclasses import replace
 
@@ -20,9 +23,6 @@ from platoonsim import (
     CaccParams,
     ModelKind,
     PlatoonState,
-    accel_cacc,
-    accel_ovfl,
-    accel_proposed,
     SolveStatus,
     StepperConfig,
     VehicleState,
@@ -37,6 +37,8 @@ from platoonsim.core import LeaderProfile
 from platoonsim.integrator import time_grid, trajectory_mismatches
 from platoonsim.profiles import PiecewiseProfile
 from platoonsim.scenario_io import parse_profile
+
+import textbook_laws
 
 
 def test_rhs_leader_components(fig1_left_scenario):
@@ -258,12 +260,12 @@ def test_three_vehicle_platoon_runs():
 
 
 def _law_accel(s, x_l, x, v_l, v, a_l, u):
-    """(acceleration, flag or None) of one follower from the scalar laws in models."""
+    """(acceleration, flag or None) of one follower from the textbook laws."""
     if s.model_kind is ModelKind.PROPOSED:
-        return accel_proposed(s.params, x_l, x, v_l, v, u)
+        return textbook_laws.accel_proposed(s.params, x_l, x, v_l, v, u)
     if s.model_kind is ModelKind.CACC:
-        return accel_cacc(s.params, x_l, x, v_l, v, a_l, u)
-    return accel_ovfl(s.params, x_l, x, v_l, v), None
+        return textbook_laws.accel_cacc(s.params, x_l, x, v_l, v, a_l, u)
+    return textbook_laws.accel_ovfl(s.params, x_l, x, v_l, v), None
 
 
 @st.composite
@@ -292,7 +294,7 @@ def _varying_scenario(preset, xs, vs):
 @given(platoon=_platoons())
 @settings(max_examples=60, deadline=None)
 def test_rhs_matches_the_scalar_laws(preset, platoon):
-    """rhs agrees bit for bit with models.accel_* for every follower, with a
+    """rhs agrees bit for bit with the textbook laws for every follower, with a
     time-varying leader and a different time-varying control per follower;
     a CACC follower's a_l is its predecessor's acceleration."""
     xs, vs, t = platoon
@@ -307,7 +309,7 @@ def test_rhs_matches_the_scalar_laws(preset, platoon):
     assert rhs(s, t, s.initial) == expected
 
 
-def _flags_from_models(s, traj):
+def _textbook_flags(s, traj):
     return [int(_law_accel(s, *traj.positions[r, :2].tolist(), *traj.velocities[r, :2].tolist(),
                            s.leader.accel.value(t), s.controls[0].value(t))[1])
             for r, t in enumerate(traj.times.tolist())]
@@ -317,7 +319,7 @@ def _flags_from_models(s, traj):
 def test_recorded_branch_codes_match_the_scalar_laws(preset):
     s = load_preset(preset).scenario
     traj = simulate(s).trajectory
-    assert traj.branches[:, 0].tolist() == _flags_from_models(s, traj)
+    assert traj.branches[:, 0].tolist() == _textbook_flags(s, traj)
 
 
 def test_event_cap_hits_are_counted(fig1_left_scenario, fig1_left_result, monkeypatch):
@@ -327,7 +329,7 @@ def test_event_cap_hits_are_counted(fig1_left_scenario, fig1_left_result, monkey
     assert res.status is SolveStatus.COMPLETED
     assert res.stats.event_cap_hits == 1
     # The capped step keeps the accepted trial's own branch state.
-    assert res.trajectory.branches[:, 0].tolist() == _flags_from_models(
+    assert res.trajectory.branches[:, 0].tolist() == _textbook_flags(
         fig1_left_scenario, res.trajectory)
 
 
@@ -502,6 +504,17 @@ def test_one_kernel_code_object_per_law_at_any_platoon_size(preset):
     for name in ("deriv", "step", "march"):
         code = getattr(engines[0], name).__code__
         assert all(getattr(e, name).__code__ is code for e in engines)
+
+
+def test_importing_the_package_compiles_no_law():
+    """The kernels and the public scalar laws are compiled on first use: a
+    fresh interpreter that imports the package has compiled neither."""
+    src = os.path.dirname(os.path.dirname(integrator.__file__))
+    code = ("import platoonsim\nfrom platoonsim import integrator, models\n"
+            "print(len(integrator._KERNELS), len(models._SCALAR_LAWS))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == ["0", "0"]
 
 
 def _counted_simulate(monkeypatch, s):

@@ -8,12 +8,13 @@ k (u - v).
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from platoonsim import (
     BranchFlag,
     CaccParams,
+    ModelParams,
     TIE_TOLERANCE,
     accel_cacc,
     accel_ovfl,
@@ -21,6 +22,8 @@ from platoonsim import (
     gamma,
     optimal_velocity,
 )
+
+import textbook_laws
 
 
 EQ_GAP = 1.4 * 1.9
@@ -183,3 +186,53 @@ def test_tie_tolerance_band(reference_params):
     assert flag is BranchFlag.TIE
     _, flag = accel_proposed(p, h, 0.0, vl, v, u_tie + 10 * TIE_TOLERANCE)
     assert flag is not BranchFlag.TIE
+
+
+def _outcome(law, *args):
+    """The bits of what law returns (its acceleration and, if it has one, its
+    flag), or the type and text of what it raises. Adding 0.0 maps -0.0 to
+    0.0: on an exact tie g == c the template keeps c where min() keeps g, and
+    the two differ at most in the sign of a zero."""
+    try:
+        out = law(*args)
+    except (ValueError, ZeroDivisionError) as e:
+        return type(e).__name__, str(e)
+    a, flag = out if isinstance(out, tuple) else (out, None)
+    return (a + 0.0).hex(), repr(flag)
+
+
+_finite = st.floats(-50.0, 50.0)
+_gain = st.floats(0.0, 10.0)
+
+
+@given(kv=_gain, kd=_gain, k=st.floats(0.01, 10.0), ts=_gain, ka=st.floats(-5.0, 5.0),
+       d=st.floats(0.1, 5.0), d_l=st.floats(0.1, 5.0), x=_finite,
+       h=st.one_of(_finite, st.floats(-1e-6, 1e-6), st.sampled_from([0.0, -0.0, 1e-160, 5e-324])),
+       v_l=_finite, v=_finite, a_l=_finite, u=_finite,
+       tie=st.sampled_from([None, 0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0]))
+@example(kv=1.0, kd=0.2, k=0.3, ts=1.4, ka=1.0, d=1.0, d_l=1.0, x=0.0, h=2.0, v_l=0.0, v=0.0,
+         a_l=0.0, u=-0.0, tie=None)  # CACC's g = 0.0 and c = -0.0: an exact tie of zeros
+@settings(max_examples=400, deadline=None)
+def test_public_laws_match_the_textbook_laws(kv, kd, k, ts, ka, d, d_l, x, h, v_l, v, a_l, u, tie):
+    """accel_* equal the hand-written textbook laws bit for bit: the value, the
+    flag (tie given: u puts the control term tie tolerances from a finite
+    other operand), and the ValueError, with its text, on a non-positive
+    headway. Two operands infinite alike, whose branch gap is NaN, are left
+    out: the textbook flag calls them CONTROL, the engine's sign rule TIE."""
+    p = ModelParams(k_v=kv, k_d=kd, k=k, tau_s=ts, v_bar=2.0, u_min=0.1, u_max=1.95)
+    c = CaccParams(p, k_a=ka, d=d, d_l=d_l)
+    x_l = x + h
+    cases = [(accel_proposed, textbook_laws.accel_proposed, (p, x_l, x, v_l, v)),
+             (accel_cacc, textbook_laws.accel_cacc, (c, x_l, x, v_l, v, a_l))]
+    for public, textbook, args in cases:
+        w = u
+        if tie is not None:
+            try:
+                other, _ = textbook(*args, 1e9)
+            except (ValueError, ZeroDivisionError):
+                other = 0.0
+            if math.isfinite(other):
+                w = v + (other + tie * TIE_TOLERANCE) / k
+        assert _outcome(public, *args, w) == _outcome(textbook, *args, w)
+    args = (p, x_l, x, v_l, v)
+    assert _outcome(accel_ovfl, *args) == _outcome(textbook_laws.accel_ovfl, *args)

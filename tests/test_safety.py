@@ -12,6 +12,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from platoonsim import (
     ModelParams,
@@ -417,11 +419,40 @@ class TestAprioriBound:
         assert H > 0.0
 
 
+def _sampled_gradient_norms(p, box, n=60):
+    """The gap branch's gradient norm on an n x n x n grid over the box,
+    indexed [h, v_l, v]: the sampling reference for estimate_lipschitz."""
+    (h_min, h_max), (v_min, v_max) = box
+    h = np.linspace(h_min, h_max, n)[:, None, None]
+    vs = np.linspace(v_min, v_max, n)
+    v_l, v = vs[None, :, None], vs[None, None, :]
+    inv2 = 1.0 / (h * h)
+    d_h = -2.0 * p.k_v * (v_l - v) * inv2 / h + p.k_d
+    d_vl = p.k_v * inv2
+    d_v = -p.k_v * inv2 - p.k_d * p.tau_s
+    return np.sqrt(d_h * d_h + d_vl * d_vl + d_v * d_v)
+
+
 class TestLipschitz:
     def test_pure_control_system(self, reference_params):
         p = replace(reference_params, k_v=0.0, k_d=0.0)
         L = estimate_lipschitz(p, ((0.5, 5.0), (0.0, 2.0)))
-        assert p.k <= L <= 1.5 * p.k
+        assert L == p.k
+
+    @given(k_v=st.floats(0.0, 3.0), k_d=st.floats(0.0, 1.0), k=st.floats(0.0, 2.0),
+           tau_s=st.floats(0.0, 3.0), h_min=st.floats(0.01, 3.0), h_span=st.floats(0.0, 10.0),
+           v_min=st.floats(0.0, 2.0), v_span=st.floats(0.0, 3.0))
+    @settings(max_examples=60, deadline=None)
+    def test_is_the_corner_sample_and_bounds_every_sample(self, reference_params, k_v, k_d, k,
+                                                          tau_s, h_min, h_span, v_min, v_span):
+        """The closed form equals the grid's corner sample (h_min, v_l = v_min,
+        v = v_max), or k, and no sampled gradient norm exceeds it."""
+        p = replace(reference_params, k_v=k_v, k_d=k_d, k=k, tau_s=tau_s)
+        box = ((h_min, h_min + h_span), (v_min, v_min + v_span))
+        norms = _sampled_gradient_norms(p, box)
+        L = estimate_lipschitz(p, box)
+        assert L == max(float(norms[0, 0, -1]), k)
+        assert L >= float(norms.max())
 
     def test_reference_box_is_finite_positive(self, reference_params):
         L = estimate_lipschitz(reference_params, ((0.5, 5.0), (0.0, 2.0)))

@@ -1,5 +1,6 @@
 """Config parsing, the profile clause grammar, and run manifests."""
 
+import hashlib
 import math
 import re
 from pathlib import Path
@@ -365,6 +366,37 @@ class TestPresets:
         cfg = load_preset("sweep_demo")
         assert cfg.sweep is not None
         assert cfg.sweep.size() >= 200
+
+    # sha256 of each preset's text: the template must render every preset byte
+    # for byte, since tests and users edit the texts by substring.
+    TEXT_SHA256 = {
+        "equilibrium": "d794c1113cecd44c30dfa5b5b9af73df6474c55a027e7c027ec66783268efa0f",
+        "equilibrium_cacc": "e46c5e6911be9ed7b65a0dbb26c066efba5f3cd8b0710f039ed901a8114cadf9",
+        "equilibrium_ovfl": "640a1061c2a36d34b154967d0fa5710837e475fcb7173cedb0478d57daf7f4bc",
+        "fig1_left": "eb3d6e37eab5a9a3990b15801f9f2708c4232eaa722b0ecc81b1c3663f0d53e2",
+        "fig1_left_cacc": "5305666dfc80611c0f339b04d144a53888887c0b977b855594b1370724322563",
+        "fig1_left_ovfl": "4e09f048312ecb1149ba6c3323ba596ebc03dd4673317296091f82addfd197ef",
+        "fig1_right": "9333bb8d7981609387e21a4b666a151317151c1af7a973114254de26993c00d3",
+        "fig1_right_cacc": "6d33e63ea8f058c762599ad4cc4e345fa702fd7e6a5040ca31811c5d7920a6a7",
+        "fig1_right_ovfl": "48537c6565890542fe0b8f9d1a588d587cc2cc0245615834a6d3732f4d1a6fc3",
+        "fig3a_0": "f4a042c6ea9d398c77eaa870341ad0992026e901dc527bf98b9d32d056915954",
+        "fig3a_005": "49b1b8f8ea566505be1d4dd5b0fd56a765b389382fe4431dd2cfd7ecb8e17761",
+        "fig3a_01": "90c81e7c0ef84b71b769840016454331ae3e546c875f11eba42f72179291365d",
+        "fig3b_0": "2c98cfb26ed88f1343c0cf4b5b6f1c81ef73ad3ac1c404055a54db2711c09dda",
+        "fig3b_005": "de7621db5bba0201e8ca2a9e8f761829db05a5e8ea5ab790014e08b26ef6bae7",
+        "fig3b_01": "440e71c01d542fa08f466ef342429cab2e3d390e60be11bd15d8462e2bf75c1f",
+        "fig4": "e1f601b3962c7a1f26ce66f99e3004f172fbcd8363bd3b71c867252dd186a0fc",
+        "fig5": "2535c8a15345cffee09aa82d99269ec10ddf13051611f9b2c0123d92b67b0bc1",
+        "order_check": "7d1fb18e2092b04f9bb8294749c59437bc6e609b8da19c96433b8fbc1bdf1d35",
+        "sweep_demo": "c8b88c94af7d418191f620c13331ff13e769f170da004c9457ec04e853d3ca89",
+    }
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_preset_text_is_pinned(self, name):
+        assert hashlib.sha256(preset_text(name).encode()).hexdigest() == self.TEXT_SHA256[name]
+
+    def test_every_preset_is_pinned(self):
+        assert sorted(self.TEXT_SHA256) == list(PRESET_NAMES)
 
 
 def _readme_blocks(lang: str) -> list[str]:
