@@ -326,8 +326,8 @@ def cmd_sweep(args) -> int:
     if args.workers < 1:
         print("sweep: --workers must be at least 1", file=sys.stderr)
         return 3
-    out = _out_dir(args)
     summaries = run_sweep(s, cfg, workers=args.workers)
+    out = _out_dir(args)
     grid_keys = sorted(cfg.param_grids)
     write_sweep_csv(summaries, grid_keys, out / "runs.csv")
     _write_manifest(out, "sweep", s, ["runs.csv", "manifest.json"],

@@ -228,6 +228,8 @@ def validate_scenario(s: Scenario) -> list[Diagnostic]:
     """
     out: list[Diagnostic] = []
     _check_params(s.params, out)
+    if s.model_kind is ModelKind.CACC and not isinstance(s.params, CaccParams):
+        out.append(Diagnostic("params", "the CACC law needs CaccParams (k_a, d, d_l)"))
 
     n = s.initial.n
     if n < 2:

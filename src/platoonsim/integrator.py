@@ -9,9 +9,9 @@ step size:
   switch_tol and integration restarts from just past the located switch
   point, then continues to the step's end. The output grid therefore stays
   the regular dt grid; located switch times are reported in the solve stats.
-* collisions: if any headway reaches zero (or a singular law becomes
-  unevaluable inside the trial step), the crossing time is bracketed to
-  switch_tol and the run stops at the last feasible point.
+* collisions: a trial step that closes a headway raises _Singular; the
+  crossing time is bracketed to switch_tol and the run stops at the last
+  feasible point.
 
 Follower velocities of the min-type law provably stay inside [0, v_bar], so
 exits are clamped when they are float noise (within guard_tol) and flagged
@@ -97,10 +97,6 @@ class SolveResult:
     stats: SolveStats
 
 
-class _HandBack(Exception):
-    """Internal: march met a step end that only _advance may accept."""
-
-
 def _flipped(signs: list[int], other: list[int]) -> bool:
     """Whether some follower went from control to gap or back (a tie flips nothing)."""
     return -1 in [a * b for a, b in zip(signs, other)]
@@ -116,11 +112,11 @@ def _platoon_pass(body: str, state, store, checks: list[str], sfx: str = "", at:
     state(c) is the expression of the stage state's position (c = "x") or
     velocity (c = "v"), and store(c, idx, s, d) the lines that keep that
     component's state s and derivative d, idx being its index in the flat
-    state. checks are lines run on each follower after the law (_track or
-    _march_checks). sfx renames what the pass carries from one follower to
-    the next (xp, vp, ap) and at renames its forcing (a_l, us), so that
-    several passes can share one follower loop; the law's own temporaries
-    keep their names.
+    state. checks are lines run on each follower after the law (the branch
+    gap, _closed, _march_checks). sfx renames what the pass carries from one
+    follower to the next (xp, vp, ap) and at renames its forcing (a_l, us),
+    so that several passes can share one follower loop; the law's own
+    temporaries keep their names.
     """
     chained = _uses(body, "ap")
     head = [f"xp = {state('x')}", f"vp = {state('v')}",
@@ -148,23 +144,23 @@ def _loop(*passes: tuple[list[str], list[str]]) -> list[str]:
     return lines + ["    " + line for _, loop in passes for line in loop] + ["    j += 2"]
 
 
-def _track(body: str) -> list[str]:
-    """deriv's bookkeeping: the minimum headway, its follower and the branch gaps."""
-    return ["if hh < minh:", "    minh = hh", "    mi = i"] + ["phi[i - 1] = g - c"] * _uses(body, "g")
+def _closed(body: str) -> list[str]:
+    """The closed-headway rule of a step's end, for a law whose body does not
+    raise _Singular(i) by itself (CACC)."""
+    return ["if hh <= 0.0: raise _Singular(i)"] * (not _uses(body, "_Singular"))
 
 
 def _march_checks(body: str, box: bool) -> list[str]:
     """march's end-state checks. A follower whose branch sign may have changed
     (sg * phi not above TIE_TOLERANCE) sets fl. A closed headway raises
-    _HandBack (a singular law's own body raises _Singular first), and so does
-    a velocity outside [0, v_bar] when the law has a speed box."""
+    _Singular, and a velocity outside [0, v_bar], when the law has a speed
+    box, returns the last accepted node."""
     lines = []
     if _uses(body, "g"):
         lines += ["phi[i - 1] = p = g - c", "if not sg[i - 1] * p > TIE_TOLERANCE: fl = True"]
-    if not _uses(body, "_Singular"):
-        lines += ["if hh <= 0.0: raise _HandBack"]
+    lines += _closed(body)
     if box:
-        lines += ["if v < 0.0 or v > v_bar: raise _HandBack"]
+        lines += ["if v < 0.0 or v > v_bar: return k, t, y, k1, sg"]
     return lines
 
 
@@ -180,18 +176,21 @@ def _kernel_source(body: str, box: bool) -> list[str]:
     derivative in locals (k2x, k2v, ...), so step builds no list but its
     results y_end and deriv(t_end, y_end), with the float operations of a
     textbook RK4 and deriv in their order. Only the end state writes phi and
-    minh. step's _Singular(i) names the first follower, in loop order, whose
-    stage state has closed its headway; only deriv's (and rhs's) i is reported.
+    runs _closed. step's _Singular(i) names the first follower, in loop
+    order, whose headway is closed (at any stage under a singular law, at the
+    end under any); only deriv's (and rhs's) i is reported. deriv never runs
+    _closed, so rhs stays defined at any gap under CACC.
 
     march takes the regular steps k, ..., stop - 1 of grid from the accepted
     node (t, y) with derivative k1 and branch signs sg, each with step's
     lines, so y_end and f_end are step's bit for bit; the end pass runs
-    _march_checks instead of _track. A flagged step rebuilds the signs with
-    _signs. It extends ys by each accepted y_end and appends (k, signs) to
-    ss for each accepted step k whose signs differ from its predecessor's.
-    It returns (k, t, y, k1, sg): k is stop, or the first step that crossed
-    a headway, raised, left the speed box or flipped a branch, and (t, y,
-    k1, sg) the last accepted node.
+    _march_checks, and a step that raises _Singular is not accepted. A
+    flagged step rebuilds the signs with _signs. It extends ys by each
+    accepted y_end and appends (k, signs) to ss for each accepted step k
+    whose signs differ from its predecessor's.
+    It returns (k, t, y, k1, sg): k is stop, or the first step that raised
+    _Singular, left the speed box or flipped a branch, and (t, y, k1, sg)
+    the last accepted node.
     """
     def stage(k, s):
         return lambda c: f"y{c} + {s} * {k}{c}"
@@ -219,17 +218,16 @@ def _kernel_source(body: str, box: bool) -> list[str]:
                        _platoon_pass(body, stage("k3", "h"), keep("k4"), [], "_4", "_4"),
                        _platoon_pass(body, combine, end, checks, "_e", "_e"))]
 
-    track = ["minh = inf", "mi = 1"]
-    report = ["eng.minh = minh", "eng.minh_idx = mi"]
-    deriv = ["out = [0.0] * size", "a_l, us = forcing(t)", *track,
-             *_loop(_loads("y"), _platoon_pass(body, lambda c: f"y{c}", derivative, _track(body))),
-             *report, "return out"]
-    step = [*track, *rk4(_track(body)), *report, "return out, f"]
     branches = _uses(body, "g")
+    gaps = ["phi[i - 1] = g - c"] * branches
+    deriv = ["out = [0.0] * size", "a_l, us = forcing(t)",
+             *_loop(_loads("y"), _platoon_pass(body, lambda c: f"y{c}", derivative, gaps)),
+             "return out"]
+    step = [*rk4(gaps + _closed(body)), "return out, f"]
     march = ["for k in range(k, stop):", "    t_end = grid[k]", "    h = t_end - t",
              *["    fl = False"] * branches, "    try:",
              *[f"        {line}" for line in rk4(_march_checks(body, box))],
-             "    except (_Singular, _HandBack):", "        return k, t, y, k1, sg",
+             "    except _Singular:", "        return k, t, y, k1, sg",
              *["    if fl:", "        new = _signs(phi)", "        if new != sg:",
                "            if _flipped(sg, new):", "                return k, t, y, k1, sg",
                "            sg = new", "            ss.append((k, sg))"] * branches,
@@ -271,10 +269,10 @@ class _Engine:
 
     State layout is a flat list [x_0, v_0, x_1, v_1, ...]. deriv, step and
     march are the law's generated kernel functions. Each deriv or step call
-    stashes the per-follower branch gap (min-law operand difference), the
-    minimum headway, and its follower index at the point it returns, so event
-    checks at accepted points cost nothing extra; march leaves only the
-    branch gaps of its last step.
+    that returns leaves the per-follower branch gaps (min-law operand
+    differences) of its end point in phi, so event checks at accepted points
+    cost nothing extra; march leaves those of its last step. A step raises
+    _Singular where a headway closes, the one collision signal.
     """
 
     def __init__(self, s: Scenario):
@@ -285,8 +283,6 @@ class _Engine:
         base = s.base_params
         self.v_bar = base.v_bar
         self.phi: list[float] = [0.0] * (self.n - 1)
-        self.minh = math.inf
-        self.minh_idx = 1
         a_fixed = s.leader.accel.is_constant()
         controls = s.controls if _uses(body, "u") else ()
         u_fixed = [u.is_constant() for u in controls]
@@ -297,12 +293,12 @@ class _Engine:
             self.forcing = _forcing(s.leader.accel, a_fixed, controls, u_fixed)
         ns = {"kv": base.k_v, "kd": base.k_d, "kk": base.k, "ts": base.tau_s,
               "n": self.n, "size": self.size, "forcing": self.forcing, "phi": self.phi,
-              "eng": self, "inf": math.inf, "tanh": math.tanh, "TANH2": TANH2,
-              "v_bar": self.v_bar, "TIE_TOLERANCE": TIE_TOLERANCE, "_signs": _signs,
-              "_flipped": _flipped, "_Singular": _Singular, "_HandBack": _HandBack}
+              "tanh": math.tanh, "TANH2": TANH2, "v_bar": self.v_bar,
+              "TIE_TOLERANCE": TIE_TOLERANCE, "_signs": _signs, "_flipped": _flipped,
+              "_Singular": _Singular}
         if s.model_kind is ModelKind.CACC:
             if not isinstance(s.params, CaccParams):
-                raise ScenarioError([])
+                raise ScenarioError(validate_scenario(s))
             ns.update(ka=s.params.k_a, gdd=1.0 / s.params.d - 1.0 / s.params.d_l)
         for code in _kernel(s.model_kind):
             exec(code, ns)
@@ -344,35 +340,29 @@ class _RunState:
         self.switch_bisection_evals = self.collision_bisection_evals = 0
 
 
-class _Collision(Exception):
-    """Internal control flow: carries the truncated final node."""
+class _Stop(Exception):
+    """Internal control flow: the run stops at the node (t, y) with status
+    and the collision or guard violation simulate reports."""
 
-    def __init__(self, t, y, follower):
-        self.t, self.y, self.follower = t, y, follower
-
-
-class _Guard(Exception):
-    def __init__(self, t, y, follower, velocity):
-        self.t, self.y, self.follower, self.velocity = t, y, follower, velocity
+    def __init__(self, t, y, status, collision=None, guard_violation=None):
+        self.t, self.y, self.status = t, y, status
+        self.collision, self.guard_violation = collision, guard_violation
 
 
 def _advance(eng: _Engine, run: _RunState, t: float, y: list[float], f,
              signs: list[int], target: float):
     """March from the accepted node (t, y), whose branch signs are signs, to target.
 
-    Returns (y, f, signs) at target, after the speed-box guard. Raises
-    _Collision or _Guard with the final node when the run must stop early.
-    A switch refinement counts once its restart step reaches the switch
-    without a collision.
+    Returns (y, f, signs) at target, after the speed-box guard. A step that
+    raises _Singular is a collision; a collision or a guard trip raises
+    _Stop with the final node. A switch refinement counts once its restart
+    step reaches the switch without a collision.
     """
     for _ in range(_MAX_EVENTS_PER_STEP):
         run.rhs_evals += 4
         try:
             y_trial, f_trial = eng.step(t, y, target - t, f, target)
-            crossed = eng.minh <= 0.0
         except _Singular:
-            crossed = True
-        if crossed:
             raise _collision(eng, run, t, y, f, target)
         signs_trial = _signs(eng.phi)
         if not _flipped(signs, signs_trial):
@@ -382,8 +372,6 @@ def _advance(eng: _Engine, run: _RunState, t: float, y: list[float], f,
         run.rhs_evals += 4
         try:
             y_hi, f_hi = eng.step(t, y, hi - t, f, hi)
-            if eng.minh <= 0.0:
-                raise _Singular(eng.minh_idx)
         except _Singular:
             raise _collision(eng, run, t, y, f, hi)
         run.switch_refinements += 1
@@ -403,15 +391,15 @@ def _advance(eng: _Engine, run: _RunState, t: float, y: list[float], f,
 def _bisect(eng: _Engine, run: _RunState, t: float, y: list[float], f, hi: float,
             signs: list[int] | None) -> tuple[float, float]:
     """Bracket, to switch_tol, the earliest event of the one-step map from (t, y)
-    in (t, hi]: a headway closing (or a singular law failing) and, unless signs
-    is None, a branch flip against signs. Returns the bracket (lo, hi)."""
+    in (t, hi]: a step raising _Singular and, unless signs is None, a branch
+    flip against signs. Returns the bracket (lo, hi)."""
     lo, calls = t, 0
     while hi - lo > run.switch_tol:
         calls += 1
         mid = 0.5 * (lo + hi)
         try:
             eng.step(t, y, mid - t, f, mid)
-            hit = eng.minh <= 0.0 or (signs is not None and _flipped(signs, _signs(eng.phi)))
+            hit = signs is not None and _flipped(signs, _signs(eng.phi))
         except _Singular:
             hit = True
         if hit:
@@ -427,12 +415,12 @@ def _bisect(eng: _Engine, run: _RunState, t: float, y: list[float], f, hi: float
 
 
 def _collision(eng: _Engine, run: _RunState, t: float, y: list[float],
-               f, hi: float) -> _Collision:
-    """Locate the first infeasible/zero-headway time in (t, hi], leaving
-    eng.phi at the located point.
+               f, hi: float) -> _Stop:
+    """The collision stop at the first time in (t, hi] where step raises
+    _Singular, leaving eng.phi at the located point.
 
-    The bisection moves lo only to an end point where step returned with a
-    positive headway, and step is deterministic, so neither call here raises.
+    The bisection moves lo only to an end point where step returned, and
+    step is deterministic, so neither call here raises.
     """
     lo, _ = _bisect(eng, run, t, y, f, hi, None)
     if lo > t:
@@ -441,13 +429,13 @@ def _collision(eng: _Engine, run: _RunState, t: float, y: list[float],
         eng.deriv(t, y)
     run.rhs_evals += 4 if lo > t else 1
     hws = [y[2 * i - 2] - y[2 * i] for i in range(1, eng.n)]
-    return _Collision(lo, y, 1 + hws.index(min(hws)))
+    return _Stop(lo, y, SolveStatus.COLLISION_DETECTED, collision=(lo, 1 + hws.index(min(hws))))
 
 
 def _apply_guard(eng: _Engine, run: _RunState, t: float, y: list[float], f,
                  signs: list[int]):
-    """Clamp float-noise speed-box exits and return (y, f, signs); raise _Guard
-    on anything larger."""
+    """Clamp float-noise speed-box exits and return (y, f, signs); raise a
+    guard-trip _Stop on anything larger."""
     guard_tol, v_bar = run.guard_tol, eng.v_bar
     if guard_tol is None:  # a law with no speed box
         return y, f, signs
@@ -456,7 +444,7 @@ def _apply_guard(eng: _Engine, run: _RunState, t: float, y: list[float], f,
         v = y[2 * i + 1]
         if v < 0.0 or v > v_bar:
             if v < -guard_tol or v > v_bar + guard_tol:
-                raise _Guard(t, y, i, v)
+                raise _Stop(t, y, SolveStatus.GUARD_TRIPPED, guard_violation=(i, v))
             y[2 * i + 1] = 0.0 if v < 0.0 else v_bar
             clamped += 1
     if clamped:
@@ -563,11 +551,8 @@ def simulate(s: Scenario, *, validate: bool = True) -> SolveResult:
                 t = grid[k]
                 Y[k], S[k] = y, signs
                 k += 1
-    except (_Collision, _Guard) as stop:
-        if isinstance(stop, _Collision):
-            status, collision = SolveStatus.COLLISION_DETECTED, (stop.t, stop.follower)
-        else:
-            status, guard_violation = SolveStatus.GUARD_TRIPPED, (stop.follower, stop.velocity)
+    except _Stop as stop:
+        status, collision, guard_violation = stop.status, stop.collision, stop.guard_violation
         if stop.t > t:
             Y[k], S[k] = stop.y, _signs(eng.phi)
             stopped_at = [stop.t]

@@ -17,6 +17,7 @@ grid in the sup norm of the pointwise Euclidean pair distance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -39,14 +40,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    """Perturbation shape g (acceleration units) and nonnegative scale."""
+    """Perturbation shape g (acceleration units) and nonnegative finite scale."""
 
     g: PiecewiseProfile
     eps: float
 
     def __post_init__(self):
-        if not self.eps >= 0.0:
-            raise ValueError(f"eps must be nonnegative, got {self.eps!r}")
+        if not 0.0 <= self.eps < math.inf:
+            raise ValueError(f"eps must be nonnegative and finite, got {self.eps!r}")
 
 
 @dataclass(frozen=True)
@@ -151,25 +152,25 @@ def convergence_study(s: Scenario, g: PiecewiseProfile, eps_list,
     The study stops at the first run that does not complete (collision,
     guard), whether the base run or a perturbed one: that run ends
     table.runs and gets no row, so every row compares two full grids.
-    s is validated and, in strict mode, every scale checked for
-    admissibility before the base run, so a refused study runs nothing.
+    Every scale is checked (finite, nonnegative and, in strict mode,
+    admissible) and s validated before the base run, so a refused study runs nothing.
     """
     eps_values = sorted({float(e) for e in eps_list}, reverse=True)
     if not eps_values:
         raise ValueError("eps_list must be non-empty")
+    specs = [PerturbationSpec(g, eps) for eps in eps_values]
     _validate(s)
     _check_admissible(s, g, eps_values, strict)
     base = simulate(s, validate=False)
     runs, rows = [base], []
     if base.status is SolveStatus.COMPLETED:
         _, xi_base, zeta_base = pair_signals(base.trajectory, follower)
-        for eps in eps_values:
-            res = base if eps == 0.0 else simulate(
-                perturbed_scenario(s, PerturbationSpec(g, eps)), validate=False)
+        for spec in specs:
+            res = base if spec.eps == 0.0 else simulate(perturbed_scenario(s, spec), validate=False)
             runs.append(res)
             if res.status is not SolveStatus.COMPLETED:
                 break
             _, xi, zeta = pair_signals(res.trajectory, follower)
             d = np.hypot(xi - xi_base, zeta - zeta_base)
-            rows.append(ConvergenceRow(eps, float(d.max())))
+            rows.append(ConvergenceRow(spec.eps, float(d.max())))
     return ConvergenceTable(tuple(rows), tuple(runs))

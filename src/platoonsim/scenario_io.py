@@ -33,6 +33,7 @@ diagnostics.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 
 from .core import (
@@ -366,8 +367,9 @@ def parse_config(text: str) -> ParsedConfig:
             normalize=_bool("perturbation", "normalize", qsec.get("normalize", "false")),
         )
         for e in perturbation.eps:
-            if e < 0.0:
-                raise ConfigError(f"[perturbation] eps values must be nonnegative, got {e!r}")
+            if not 0.0 <= e < math.inf:
+                raise ConfigError(
+                    f"[perturbation] eps values must be nonnegative and finite, got {e!r}")
 
     sweep = None
     if cp.has_section("sweep"):

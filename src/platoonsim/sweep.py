@@ -18,7 +18,8 @@ import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-from .core import CaccParams, ModelKind, PlatoonState, Scenario, VehicleState
+from .core import (CaccParams, ModelKind, PlatoonState, Scenario, ScenarioError, VehicleState,
+                   validate_scenario)
 from .integrator import SolveStatus, simulate
 from .safety import build_envelope
 from .scenario_io import SweepConfig
@@ -76,7 +77,7 @@ def expand_sweep(base: Scenario, cfg: SweepConfig) -> list[Scenario]:
 def _summarize(index: int, s: Scenario, cfg_axes: tuple[int, float, float],
                overrides: tuple[tuple[str, float], ...]) -> RunSummary:
     n, h0, v0 = cfg_axes
-    res = simulate(s)
+    res = simulate(s, validate=False)
     traj = res.trajectory
     headways = traj.headways()
     min_headway = float(headways.min())
@@ -98,12 +99,20 @@ def _summarize(index: int, s: Scenario, cfg_axes: tuple[int, float, float],
 
 
 def run_one(args: tuple[int, Scenario, tuple[int, float, float], tuple[tuple[str, float], ...]]) -> RunSummary:
+    """The summary of one grid point, whose scenario run_sweep has validated."""
     index, s, axes, overrides = args
     return _summarize(index, s, axes, overrides)
 
 
 def run_sweep(base: Scenario, cfg: SweepConfig, workers: int = 1) -> list[RunSummary]:
+    """One summary per grid point, in grid order. Every grid scenario is
+    validated, in grid order, before the first run, so a sweep with an
+    invalid grid point raises its ScenarioError and runs nothing."""
     scenarios = expand_sweep(base, cfg)
+    for s in scenarios:
+        diags = validate_scenario(s)
+        if diags:
+            raise ScenarioError(diags)
     axes = _axes_of(cfg)
     jobs = [(i, s, ax, ov) for i, (s, (ax, ov)) in enumerate(zip(scenarios, axes))]
     if workers <= 1:

@@ -346,6 +346,21 @@ class TestPerturb:
         assert ((tmp_path / "p" / "trajectory_eps_0.0.csv").read_bytes()
                 == (tmp_path / "s" / "trajectory.csv").read_bytes())
 
+    @pytest.mark.parametrize("eps", ["inf, 0.1, 0.05, 0.01", "nan"])
+    def test_non_finite_eps_refused_before_any_run(self, tmp_path, capsys, monkeypatch, eps):
+        calls = []
+        for mod in (sys.modules["platoonsim.cli"], sys.modules["platoonsim.perturbation"]):
+            monkeypatch.setattr(mod, "simulate", lambda *a, **k: calls.append(a))
+        cfg = tmp_path / "eps.ini"
+        cfg.write_text(preset_text("fig5").replace("eps = 1, 0.5, 0.1, 0.05, 0.01", f"eps = {eps}"),
+                       encoding="utf-8")
+        out = tmp_path / "o"
+        code = run("perturb", "--config", str(cfg), "--out", str(out), "--strict-eps", "false")
+        assert code == 3
+        assert "nonnegative and finite" in capsys.readouterr().err
+        assert not out.exists()
+        assert calls == []
+
     def test_config_without_perturbation_section(self, tmp_path, capsys):
         code = run("perturb", "--preset", "fig4", "--out", str(tmp_path))
         assert code == 3
@@ -384,6 +399,29 @@ class TestSweep:
         code = run("sweep", "--preset", "fig4", "--out", str(tmp_path))
         assert code == 3
         assert "[sweep]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, field", [
+        ("headways = 0.1, 0.25, 0.5, 1, 2, 3, 5", "headways = 0, 1", "initial.headway[1]"),
+        ("velocities = 0, 0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8", "velocities = 0, 3",
+         "initial.vehicles[1].v"),
+        ("n = 2, 4, 8", "n = 2, 4, 8\nk_d = -0.2, 0.2", "params.k_d"),
+    ])
+    def test_bad_grid_point_refused_before_any_run(self, tmp_path, capsys, monkeypatch,
+                                                   old, new, field):
+        """A grid point that fails validation exits 3 before the first run and
+        before --out exists, wherever it sits in the grid."""
+        calls = []
+        monkeypatch.setattr(sys.modules["platoonsim.sweep"], "simulate",
+                            lambda *a, **k: calls.append(a))
+        cfg = tmp_path / "s.ini"
+        text = preset_text("sweep_demo")
+        assert old in text
+        cfg.write_text(text.replace(old, new), encoding="utf-8")
+        out = tmp_path / "o"
+        assert run("sweep", "--config", str(cfg), "--out", str(out)) == 3
+        assert f"invalid scenario: {field}:" in capsys.readouterr().err
+        assert not out.exists()
+        assert calls == []
 
     def test_bad_worker_count(self, tmp_path, capsys):
         cfg = tmp_path / "s.ini"
@@ -426,6 +464,22 @@ class TestValidationCounts:
     def test_cli_command(self, tmp_path, validate_calls, command, preset, count):
         assert run(command, "--preset", preset, "--out", str(tmp_path)) == 0
         assert len(validate_calls) == count
+
+    def test_sweep_validates_every_grid_point_before_any_run(self, tmp_path, validate_calls,
+                                                            monkeypatch):
+        """The base scenario once, then each of the 4 grid points in grid order,
+        all before the first run."""
+        events = []
+        simulate = sys.modules["platoonsim.sweep"].simulate
+        monkeypatch.setattr(sys.modules["platoonsim.sweep"], "simulate",
+                            lambda s, **k: events.append(len(validate_calls)) or simulate(s, **k))
+        cfg = tmp_path / "s.ini"
+        cfg.write_text(SWEEP_CFG, encoding="utf-8")
+        assert run("sweep", "--config", str(cfg), "--out", str(tmp_path / "o")) == 0
+        grid = validate_calls[1:]
+        assert [(s.initial.vehicles[0].x, s.initial.vehicles[1].v) for s in grid] == [
+            (1.0, 0.0), (1.0, 1.0), (5.0, 0.0), (5.0, 1.0)]
+        assert events == [1 + len(grid)] * len(grid) == [5] * 4
 
     def test_convergence_study(self, validate_calls):
         parsed = load_preset("fig5")

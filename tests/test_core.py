@@ -12,6 +12,7 @@ from platoonsim import (
     ModelParams,
     PlatoonState,
     Scenario,
+    ScenarioError,
     StepperConfig,
     VehicleState,
     constant_profile,
@@ -165,6 +166,20 @@ class TestValidateScenario:
         s = two_car_scenario(reference_params)
         s = replace(s, leader=LeaderProfile(s.leader.accel, 1.5))
         assert any(d.field == "leader.v0" for d in validate_scenario(s))
+
+    def test_cacc_with_plain_model_params_flagged(self, fig1_left_scenario):
+        """A CACC scenario without its own constants gets a params diagnostic
+        naming them, and every entry point that builds an engine reports it,
+        validated or not."""
+        s = replace(fig1_left_scenario, model_kind=ModelKind.CACC)
+        diags = validate_scenario(s)
+        assert [d.field for d in diags] == ["params"]
+        assert all(name in diags[0].message for name in ("CaccParams", "k_a", "d", "d_l"))
+        for call in (lambda: integrator.simulate(s), lambda: integrator.simulate(s, validate=False),
+                     lambda: integrator.rhs(s, 0.0, s.initial)):
+            with pytest.raises(ScenarioError) as err:
+                call()
+            assert err.value.diagnostics == diags
 
     def test_idempotent(self, reference_params):
         s = two_car_scenario(reference_params, x=(5.0, 5.0))

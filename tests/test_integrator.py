@@ -298,15 +298,28 @@ def test_rhs_matches_the_scalar_laws(preset, platoon):
     time-varying leader and a different time-varying control per follower;
     a CACC follower's a_l is its predecessor's acceleration."""
     xs, vs, t = platoon
-    n = len(xs)
     s = _varying_scenario(preset, xs, vs)
+    assert rhs(s, t, s.initial) == _textbook_rhs(s, xs, vs, t)
+
+
+def _textbook_rhs(s, xs, vs, t):
     a_prev = s.leader.accel.value(t)
     expected = [vs[0], a_prev]
-    for i in range(1, n):
+    for i in range(1, len(xs)):
         a_prev, _ = _law_accel(s, xs[i - 1], xs[i], vs[i - 1], vs[i], a_prev,
                                s.controls[i - 1].value(t))
         expected += [vs[i], a_prev]
-    assert rhs(s, t, s.initial) == expected
+    return expected
+
+
+@pytest.mark.parametrize("h", [0.0, -0.5])
+def test_cacc_rhs_is_defined_at_a_closed_gap(h):
+    """CACC is defined at any gap: rhs at a zero or negative headway raises
+    nothing and equals the textbook law bit for bit. Only a step's end (step
+    and march) applies the closed-headway rule, never deriv."""
+    xs, vs, t = [h, 0.0, -3.0], [1.0, 1.5, 0.5], 1.3
+    s = _varying_scenario("fig1_left_cacc", xs, vs)
+    assert rhs(s, t, s.initial) == _textbook_rhs(s, xs, vs, t)
 
 
 def _textbook_flags(s, traj):
@@ -363,9 +376,10 @@ def test_guard_clamps_float_noise_at_either_edge_of_the_box(fig1_left_scenario, 
 def test_guard_trips_just_outside_the_noise_band(fig1_left_scenario, v):
     eng = integrator._Engine(fig1_left_scenario)
     y = [5.0, 1.0, 0.0, v]
-    with pytest.raises(integrator._Guard):
+    with pytest.raises(integrator._Stop) as stop:
         integrator._apply_guard(eng, integrator._RunState(1e-7, 1e-9), 0.0, y,
                                 eng.deriv(0.0, y), [1])
+    assert stop.value.status is SolveStatus.GUARD_TRIPPED
 
 
 def test_ovfl_engine_evaluates_only_the_leader_profile(monkeypatch):
@@ -390,18 +404,23 @@ def _textbook_rk4(deriv, t, y, h, k1):
 
 
 def _step_outcome(eng, step, *args):
-    """The bits of (y_end, f_end) and of the branch gaps and minimum headway
-    that a step leaves, or "singular" if it raised _Singular."""
+    """The bits of (y_end, f_end) and of the branch gaps that a step leaves,
+    or "singular" if it raised _Singular."""
     try:
         y_end, f_end = step(*args)
     except integrator._Singular:
         return "singular"
-    return [v.hex() for v in y_end + f_end + eng.phi + [eng.minh]], eng.minh_idx
+    return [v.hex() for v in y_end + f_end + eng.phi]
 
 
 def _textbook_step(eng):
+    """A textbook RK4 step and deriv at its end, raising _Singular for the
+    first follower whose end headway is not positive (under any law)."""
     def step(t, y, h, k1, t_end):
         y_end = _textbook_rk4(eng.deriv, t, y, h, k1)
+        for i in range(1, eng.n):
+            if y_end[2 * i - 2] - y_end[2 * i] <= 0.0:
+                raise integrator._Singular(i)
         return y_end, eng.deriv(t_end, y_end)
     return step
 
@@ -412,11 +431,11 @@ def _textbook_step(eng):
 @settings(max_examples=100, deadline=None)
 def test_fused_rk4_matches_a_textbook_rk4(preset, platoon, h_frac, end_ulps):
     """The generated step equals a textbook RK4 followed by deriv(t_end, ·)
-    bit for bit, branch gaps and minimum headway included, with a
-    time-varying leader and controls, also when t_end is an ulp off t + h (a
-    bisection's midpoint), and raises _Singular exactly when either of the
-    two does. Platoons of up to 33 vehicles check the stage states that the
-    one-pass step carries down a long chain of followers."""
+    bit for bit, branch gaps included, with a time-varying leader and
+    controls, also when t_end is an ulp off t + h (a bisection's midpoint),
+    and raises _Singular exactly when either of the two does. Platoons of up
+    to 33 vehicles check the stage states that the one-pass step carries down
+    a long chain of followers."""
     xs, vs, t = platoon
     s = _varying_scenario(preset, xs, vs)
     eng = integrator._Engine(s)

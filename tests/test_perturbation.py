@@ -1,5 +1,7 @@
 """Leader-perturbation machinery and the empirical convergence study."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,11 @@ class TestPerturbedScenario:
         with pytest.raises(ValueError):
             PerturbationSpec(fig5_g, -0.1)
 
+    @pytest.mark.parametrize("eps", [math.inf, math.nan])
+    def test_non_finite_eps_rejected(self, fig5_g, eps):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            PerturbationSpec(fig5_g, eps)
+
     def test_zero_eps_returns_same_object(self, reference_params, fig5_g):
         s = make_scenario(reference_params)
         assert perturbed_scenario(s, PerturbationSpec(fig5_g, 0.0)) is s
@@ -172,6 +179,14 @@ class TestConvergenceStudy:
         monkeypatch.setattr(perturbation, "simulate", lambda *a, **k: calls.append(a))
         with pytest.raises(ValueError, match="exceeds the admissible scale"):
             convergence_study(fig5_parsed.scenario, fig5_g, [0.1, 1.0], strict=True)
+        assert calls == []
+
+    @pytest.mark.parametrize("eps", [math.inf, math.nan])
+    def test_non_finite_scale_refused_before_any_run(self, fig5_parsed, fig5_g, monkeypatch, eps):
+        calls = []
+        monkeypatch.setattr(perturbation, "simulate", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            convergence_study(fig5_parsed.scenario, fig5_g, [eps, 0.1, 0.05], strict=False)
         assert calls == []
 
     def test_table_rejects_misordered_rows(self):

@@ -270,6 +270,11 @@ normalize = true
         with pytest.raises(ConfigError, match="nonnegative"):
             parse_config(BASE + "\n[perturbation]\ng = 0 100 const 0.01\neps = -0.1\n")
 
+    @pytest.mark.parametrize("eps", ["inf, 0.1", "0.1, nan", "-inf"])
+    def test_non_finite_eps_rejected(self, eps):
+        with pytest.raises(ConfigError, match="nonnegative and finite"):
+            parse_config(BASE + f"\n[perturbation]\ng = 0 100 const 0.01\neps = {eps}\n")
+
     def test_missing_g(self):
         with pytest.raises(ConfigError, match="missing key: g"):
             parse_config(BASE + "\n[perturbation]\neps = 0.1\n")
