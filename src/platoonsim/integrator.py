@@ -20,15 +20,18 @@ rather than real dynamics. Baseline models get no velocity guard: leaving
 the box (CACC can brake through zero speed) is an observable result there.
 
 Most steps meet no event. simulate lets the generated kernel march take
-them, a block of at most _BLOCK_ROWS grid steps per call: march runs the
-fused RK4 step in a loop and checks each step's end in the same pass over
-the platoon (one comparison per follower for a possible branch sign change,
+them, in blocks of at most _BLOCK_ROWS grid steps: march runs the fused
+RK4 step in a loop and checks each step's end in the same pass over the
+platoon (one comparison per follower for a possible branch sign change,
 a closed headway, and an exit from the speed box under the min-type law).
 At the first step it cannot accept on its own, march hands back the last
 accepted node, and _advance takes that step again on the event path above,
-so every event is still located in one place. simulate copies each block's
-accepted rows into the output array at once, and its branch signs once per
-stretch of steps that keep them.
+so every event is still located in one place; march then resumes at the
+block's next step. simulate tabulates the leader acceleration and the
+controls at each block's stage times once, and march reads its steps' rows
+of that table; the event path evaluates them at its own times. simulate
+copies the accepted rows of each march call into the output array at once,
+and its branch signs once per stretch of steps that keep them.
 """
 
 from __future__ import annotations
@@ -52,8 +55,8 @@ __all__ = ["SolveStatus", "SwitchEvent", "SolveStats", "SolveResult", "StepperCo
 # Cap on event refinements inside one regular step; past this the trial is
 # accepted as-is (defensive, not expected to bind).
 _MAX_EVENTS_PER_STEP = 64
-# Grid steps simulate hands march at a time; their rows are copied into the
-# output arrays together.
+# Grid steps of one march block: simulate tabulates their forcing at once, and
+# the rows of each march call are copied into the output arrays together.
 _BLOCK_ROWS = 128
 
 
@@ -106,29 +109,32 @@ def _flipped(signs: list[int], other: list[int]) -> bool:
 _CODE_OF_SIGN = np.array(_FLAG_OF_SIGN, dtype=np.int8)
 
 
-def _platoon_pass(body: str, state, store, checks: list[str], sfx: str = "", at: str = ""):
-    """Source lines (head, loop body) of one pass over the platoon.
+def _platoon_pass(body: str, s: str, state, at: str, store, checks: list[str]):
+    """Source lines (head, loop body) of one pass over the platoon at stage s.
 
-    state(c) is the expression of the stage state's position (c = "x") or
-    velocity (c = "v"), and store(c, idx, s, d) the lines that keep that
-    component's state s and derivative d, idx being its index in the flat
-    state. checks are lines run on each follower after the law (the branch
-    gap, _closed, _march_checks). sfx renames what the pass carries from one
-    follower to the next (xp, vp, ap) and at renames its forcing (a_l, us),
-    so that several passes can share one follower loop; the law's own
-    temporaries keep their names.
+    The pass names the stage's state after s: x{s}, v{s} and a{s} hold the
+    leader's position, velocity and acceleration, then each follower's in
+    turn. A follower's law reads its predecessor's there (the body's xp, vp
+    and ap) before it sets its own a{s} (the body's a, set last), and the
+    pass sets its x{s} and v{s} after the law; so the next follower reads
+    this one's, and a later stage of the same follower reads its own.
+    state(c, idx) is the expression of the stage position (c = "x") or
+    velocity (c = "v"), idx being its index in the flat state; the law reads
+    its forcing at a_l{at} and us{at}; store(idx, s, d) gives the lines that
+    keep a component's state s and derivative d. checks are lines run on
+    each follower after the law (the branch gap, _closed, _march_checks).
+    The law's own temporaries keep their names, so that several passes can
+    share one follower loop.
     """
-    chained = _uses(body, "ap")
-    head = [f"xp = {state('x')}", f"vp = {state('v')}",
-            *store("x", "0", "xp", "vp"), *store("v", "1", "vp", "a_l")]
-    head += ["ap = a_l"] * chained
-    loop = [f"x = {state('x')}", f"v = {state('v')}"]
-    loop += ["u = us[i - 1]"] * _uses(body, "u") + body.splitlines() + checks
-    loop += [*store("x", "j", "x", "v"), *store("v", "j + 1", "v", "a"), "xp = x", "vp = v"]
-    loop += ["ap = a"] * chained
-    carried, forced = re.compile(r"\b(xp|vp|ap)\b"), re.compile(r"\b(a_l|us)\b")
-    return tuple([forced.sub(rf"\1{at}", carried.sub(rf"\1{sfx}", line)) for line in lines]
-                 for lines in (head, loop))
+    x, v, a = f"x{s}", f"v{s}", f"a{s}"
+    names = {"xp": x, "vp": v, "ap": a, "a": a}
+    law = [re.sub(r"\b(xp|vp|ap|a)\b", lambda m: names[m[1]], line) for line in body.splitlines()]
+    head = [f"{x} = {state('x', '0')}", f"{v} = {state('v', '1')}", f"{a} = a_l{at}",
+            *store("0", x, v), *store("1", v, a)]
+    loop = [f"x = {state('x', 'j')}", f"v = {state('v', 'j + 1')}"]
+    loop += [f"u = us{at}[i - 1]"] * _uses(body, "u") + law + checks
+    loop += [*store("j", "x", "v"), *store("j + 1", "v", a), f"{x} = x", f"{v} = v"]
+    return head, loop
 
 
 def _loads(*lists: str) -> tuple[list[str], list[str]]:
@@ -151,91 +157,112 @@ def _closed(body: str) -> list[str]:
 
 
 def _march_checks(body: str, box: bool) -> list[str]:
-    """march's end-state checks. A follower whose branch sign may have changed
-    (sg * phi not above TIE_TOLERANCE) sets fl. A closed headway raises
-    _Singular, and a velocity outside [0, v_bar], when the law has a speed
-    box, returns the last accepted node."""
+    """march's end-state checks. A follower whose branch sign has changed sets
+    fl: its sign sg is kept when sg * phi is above TIE_TOLERANCE (sg = 1 or
+    -1, one comparison) or when sg is 0 and phi is within TIE_TOLERANCE. A
+    closed headway raises _Singular, and a velocity outside [0, v_bar], when
+    the law has a speed box, returns the last accepted node."""
     lines = []
     if _uses(body, "g"):
-        lines += ["phi[i - 1] = p = g - c", "if not sg[i - 1] * p > TIE_TOLERANCE: fl = True"]
+        lines += ["phi[i - 1] = p = g - c",
+                  "if not (sg[i - 1] * p > TIE_TOLERANCE"
+                  " or sg[i - 1] == 0 and -TIE_TOLERANCE <= p <= TIE_TOLERANCE): fl = True"]
     lines += _closed(body)
     if box:
         lines += ["if v < 0.0 or v > v_bar: return k, t, y, k1, sg"]
     return lines
 
 
+# Names of each kernel namespace that march binds as locals on entry, where it
+# uses them: the gains, the engine's constants and the helpers.
+_MARCH_LOCALS = ("kv", "kd", "kk", "ts", "ka", "gdd", "n", "size", "phi", "tanh", "TANH2",
+                 "v_bar", "TIE_TOLERANCE", "_signs", "_flipped", "_Singular")
+
+
 def _kernel_source(body: str, box: bool) -> list[str]:
     """The sources of deriv(t, y), the fused RK4 step(t, y, h, k1, t_end) and
-    march(t, y, k1, sg, grid, k, stop, ys, ss) of one law body.
+    march(t, y, k1, sg, grid, k, stop, ys, ss, table, k0) of one law body.
 
     step makes one pass over the platoon: a follower's stage state depends
     only on its own earlier stages and its predecessor's state at the same
     stage, so each follower in turn gets its stages 2, 3 and 4, the RK4
-    combine and the law at its end state. Each stage carries the
-    predecessor's state in locals of its own (xp_2, vp_2, ...) and keeps its
-    derivative in locals (k2x, k2v, ...), so step builds no list but its
-    results y_end and deriv(t_end, y_end), with the float operations of a
-    textbook RK4 and deriv in their order. Only the end state writes phi and
-    runs _closed. step's _Singular(i) names the first follower, in loop
-    order, whose headway is closed (at any stage under a singular law, at the
-    end under any); only deriv's (and rhs's) i is reported. deriv never runs
-    _closed, so rhs stays defined at any gap under CACC.
+    combine and the law at its end state. Each stage's state is named after
+    it (x2, v2, a2, ..., xe, ve, ae; see _platoon_pass), and a stage's
+    derivative is the velocity and acceleration of its state, so step builds
+    no list but its results y_end and deriv(t_end, y_end), with the float
+    operations of a textbook RK4 and deriv in their order. Only the end
+    state writes phi and runs _closed. step's _Singular(i) names the first
+    follower, in loop order, whose headway is closed (at any stage under a
+    singular law, at the end under any); only deriv's (and rhs's) i is
+    reported. deriv never runs _closed, so rhs stays defined at any gap
+    under CACC. deriv and step evaluate forcing at their own times.
 
     march takes the regular steps k, ..., stop - 1 of grid from the accepted
     node (t, y) with derivative k1 and branch signs sg, each with step's
-    lines, so y_end and f_end are step's bit for bit; the end pass runs
-    _march_checks, and a step that raises _Singular is not accepted. A
-    flagged step rebuilds the signs with _signs. It extends ys by each
-    accepted y_end and appends (k, signs) to ss for each accepted step k
-    whose signs differ from its predecessor's.
+    lines, so y_end and f_end are step's bit for bit; it reads step k's
+    forcing from row k - k0 of table, the block's forcing table (see
+    _forcing), and binds the names of _MARCH_LOCALS it uses as locals on
+    entry. The end pass runs _march_checks, and a step that raises _Singular
+    is not accepted. A flagged step rebuilds the signs with _signs. It
+    extends ys by each accepted y_end and appends (k, signs) to ss for each
+    accepted step k whose signs differ from its predecessor's.
     It returns (k, t, y, k1, sg): k is stop, or the first step that raised
     _Singular, left the speed box or flipped a branch, and (t, y, k1, sg)
     the last accepted node.
     """
-    def stage(k, s):
-        return lambda c: f"y{c} + {s} * {k}{c}"
+    def slope(s, c):
+        """Component c of stage s's derivative: k1's loaded entry, or the
+        velocity or acceleration of a later stage's state."""
+        return f"k1{c}" if s == 1 else f"{'v' if c == 'x' else 'a'}{s}"
 
-    def keep(k):
-        return lambda c, idx, s, d: [f"{k}{c} = {d}"]
+    def stage(s, w):
+        return lambda c, idx: f"y{c} + {w} * {slope(s, c)}"
 
-    def combine(c):
-        return f"y{c} + h * (k1{c} + 2.0 * (k2{c} + k3{c}) + k4{c}) / 6.0"
+    def combine(c, idx):
+        k1, k2, k3, k4 = (slope(s, c) for s in (1, 2, 3, 4))
+        return f"y{c} + h * ({k1} + 2.0 * ({k2} + {k3}) + {k4}) / 6.0"
 
-    def derivative(c, idx, s, d):
+    def in_locals(idx, s, d):
+        return []
+
+    def derivative(idx, s, d):
         return [f"out[{idx}] = {d}"]
 
-    def end(c, idx, s, d):
+    def end(idx, s, d):
         return [f"out[{idx}] = {s}", f"f[{idx}] = {d}"]
 
-    def rk4(checks):
-        return ["half = 0.5 * h", "a_l_2, us_2 = forcing(t + half)", "t_4 = t + h",
-                "a_l_4, us_4 = forcing(t_4)",
-                "a_l_e, us_e = (a_l_4, us_4) if t_end == t_4 else forcing(t_end)",
-                "out = [0.0] * size", "f = [0.0] * size",
+    def rk4(forcing, checks):
+        return ["half = 0.5 * h", *forcing, "out = [0.0] * size", "f = [0.0] * size",
                 *_loop(_loads("y", "k1"),
-                       _platoon_pass(body, stage("k1", "half"), keep("k2"), [], "_2", "_2"),
-                       _platoon_pass(body, stage("k2", "half"), keep("k3"), [], "_3", "_2"),
-                       _platoon_pass(body, stage("k3", "h"), keep("k4"), [], "_4", "_4"),
-                       _platoon_pass(body, combine, end, checks, "_e", "_e"))]
+                       _platoon_pass(body, "2", stage(1, "half"), "_2", in_locals, []),
+                       _platoon_pass(body, "3", stage(2, "half"), "_2", in_locals, []),
+                       _platoon_pass(body, "4", stage(3, "h"), "_4", in_locals, []),
+                       _platoon_pass(body, "e", combine, "_e", end, checks))]
 
     branches = _uses(body, "g")
     gaps = ["phi[i - 1] = g - c"] * branches
     deriv = ["out = [0.0] * size", "a_l, us = forcing(t)",
-             *_loop(_loads("y"), _platoon_pass(body, lambda c: f"y{c}", derivative, gaps)),
+             *_loop(_platoon_pass(body, "d", lambda c, idx: f"y[{idx}]", "", derivative, gaps)),
              "return out"]
-    step = [*rk4(gaps + _closed(body)), "return out, f"]
+    step = [*rk4(["a_l_2, us_2 = forcing(t + half)", "t_4 = t + h", "a_l_4, us_4 = forcing(t_4)",
+                  "a_l_e, us_e = (a_l_4, us_4) if t_end == t_4 else forcing(t_end)"],
+                 gaps + _closed(body)),
+            "return out, f"]
     march = ["for k in range(k, stop):", "    t_end = grid[k]", "    h = t_end - t",
+             "    a_l_2, us_2, a_l_4, us_4, a_l_e, us_e = table[k - k0]",
              *["    fl = False"] * branches, "    try:",
-             *[f"        {line}" for line in rk4(_march_checks(body, box))],
+             *[f"        {line}" for line in rk4([], _march_checks(body, box))],
              "    except _Singular:", "        return k, t, y, k1, sg",
              *["    if fl:", "        new = _signs(phi)", "        if new != sg:",
                "            if _flipped(sg, new):", "                return k, t, y, k1, sg",
                "            sg = new", "            ss.append((k, sg))"] * branches,
              "    ys += out", "    t, y, k1 = t_end, out, f",
              "return stop, t, y, k1, sg"]
+    bound = [f"{name}={name}" for name in _MARCH_LOCALS if _uses("\n".join(march), name)]
     return [f"def {sig}:\n" + "".join(f"    {line}\n" for line in lines)
             for sig, lines in (("deriv(t, y)", deriv), ("step(t, y, h, k1, t_end)", step),
-                               ("march(t, y, k1, sg, grid, k, stop, ys, ss)", march))]
+                               (f"march(t, y, k1, sg, grid, k, stop, ys, ss, table, k0, *, "
+                                f"{', '.join(bound)})", march))]
 
 
 # Compiled kernels by law, built on first use so that importing the package
@@ -273,6 +300,10 @@ class _Engine:
     differences) of its end point in phi, so event checks at accepted points
     cost nothing extra; march leaves those of its last step. A step raises
     _Singular where a headway closes, the one collision signal.
+
+    forcing(t) is the leader acceleration and the follower controls at t,
+    and table(grid, k, stop) march's forcing table for the steps k, ...,
+    stop - 1 (see _forcing).
     """
 
     def __init__(self, s: Scenario):
@@ -288,9 +319,11 @@ class _Engine:
         u_fixed = [u.is_constant() for u in controls]
         if a_fixed is not None and None not in u_fixed:
             fixed = (a_fixed, u_fixed)
+            row = fixed * 3
             self.forcing = lambda t: fixed
+            self.table = lambda grid, k, stop: [row] * (stop - k)
         else:
-            self.forcing = _forcing(s.leader.accel, a_fixed, controls, u_fixed)
+            self.forcing, self.table = _forcing(s.leader.accel, a_fixed, controls, u_fixed)
         ns = {"kv": base.k_v, "kd": base.k_d, "kk": base.k, "ts": base.tau_s,
               "n": self.n, "size": self.size, "forcing": self.forcing, "phi": self.phi,
               "tanh": math.tanh, "TANH2": TANH2, "v_bar": self.v_bar,
@@ -308,9 +341,18 @@ class _Engine:
 
 
 def _forcing(accel, a_fixed, controls, u_fixed):
-    """forcing(t): leader acceleration and follower controls at t, for
-    time-varying profiles (a_fixed and u_fixed hold the constant ones' values).
-    step calls it once per distinct stage time."""
+    """(forcing, table) for time-varying profiles; a_fixed and u_fixed hold
+    the constant ones' values, and a law without controls gets none.
+
+    forcing(t) is (leader acceleration, follower controls) at t; step calls
+    it once per distinct stage time. table(grid, k, stop) is march's forcing
+    table for its steps k, ..., stop - 1: row k - k0 is (a_l_2, us_2, a_l_4,
+    us_4, a_l_e, us_e), the forcing at step k's t + h/2, t + h and t_end,
+    with t and h computed from grid as march computes them. Each varying
+    profile, the leader's and each follower's control, goes through its
+    values once per stage time, as forcing evaluates them; t_end is
+    evaluated only where it is not t + h.
+    """
     a_value = accel.value
     u_values = [u.value for u in controls] if None in u_fixed else None
 
@@ -319,7 +361,25 @@ def _forcing(accel, a_fixed, controls, u_fixed):
             c if c is not None else value(t) for c, value in zip(u_fixed, u_values)]
         return a_fixed if a_fixed is not None else a_value(t), us
 
-    return forcing
+    def table(grid: list[float], k: int, stop: int) -> list[tuple]:
+        ts, firsts = [], []
+        t = grid[k - 1]
+        for t_end in grid[k:stop]:
+            h = t_end - t
+            t_4 = t + h
+            firsts.append(len(ts))
+            ts += (t + 0.5 * h, t_4)
+            if t_end != t_4:
+                ts.append(t_end)
+            t = t_end
+        firsts.append(len(ts))
+        a = [a_fixed] * len(ts) if a_fixed is not None else accel.values(ts)
+        us = [u_fixed] * len(ts) if u_values is None else list(zip(*[
+            u.values(ts) if c is None else [c] * len(ts) for u, c in zip(controls, u_fixed)]))
+        return [(a[i], us[i], a[i + 1], us[i + 1], a[e - 1], us[e - 1])
+                for i, e in zip(firsts, firsts[1:])]
+
+    return forcing, table
 
 
 class _RunState:
@@ -535,11 +595,14 @@ def simulate(s: Scenario, *, validate: bool = True) -> SolveResult:
         f = eng.deriv(t, y)
         signs = _signs(eng.phi)
         Y[0], S[0] = y, signs
+        end = k  # the end of the current block: none yet
         while k <= n_steps:
-            end = min(k + _BLOCK_ROWS, n_steps + 1)
+            if k == end:
+                k0, end = k, min(k + _BLOCK_ROWS, n_steps + 1)
+                table = eng.table(grid, k0, end)
             ys, ss = [], []
             S[k:end] = signs
-            j, t, y, f, signs = eng.march(t, y, f, signs, grid, k, end, ys, ss)
+            j, t, y, f, signs = eng.march(t, y, f, signs, grid, k, end, ys, ss, table, k0)
             flat[k * size:j * size] = ys
             for i, sg in ss:
                 S[i:j] = sg

@@ -213,6 +213,29 @@ class PiecewiseProfile:
             return at_end
         return segments[bisect_right(starts, t) - 1].value(t)
 
+    def values(self, ts) -> list[float]:
+        """[self.value(t) for t in ts], bit for bit: the integrator's block
+        evaluator for a march block's stage times.
+
+        It bisects only when t leaves the segment of the time before it, so
+        a sorted block costs one lookup per segment it meets, and calls that
+        segment's value.
+        """
+        starts, segments, start, end, at_start, at_end = self._table
+        out = []
+        t0 = t1 = math.nan  # the segment in hand: none yet
+        for t in ts:
+            if t <= start:
+                out.append(at_start)
+            elif t >= end:
+                out.append(at_end)
+            else:
+                if not t0 <= t < t1:
+                    seg = segments[bisect_right(starts, t) - 1]
+                    t0, t1, value = seg.t0, seg.t1, seg.value
+                out.append(value(t))
+        return out
+
     def integrate(self, a: float, b: float) -> float:
         """Exact integral over [a, b] (clamped to the profile's span)."""
         if b < a:

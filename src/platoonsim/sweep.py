@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .core import (CaccParams, ModelKind, PlatoonState, Scenario, ScenarioError, VehicleState,
@@ -117,6 +116,9 @@ def run_sweep(base: Scenario, cfg: SweepConfig, workers: int = 1) -> list[RunSum
     jobs = [(i, s, ax, ov) for i, (s, (ax, ov)) in enumerate(zip(scenarios, axes))]
     if workers <= 1:
         return [run_one(job) for job in jobs]
+    # Imported here: concurrent.futures pulls in multiprocessing, which every
+    # other command would pay for at import.
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(run_one, jobs, chunksize=4))
     return sorted(results, key=lambda r: r.index)

@@ -3,6 +3,8 @@
 import csv
 import json
 import math
+import os
+import subprocess
 import sys
 
 import pytest
@@ -488,3 +490,15 @@ class TestValidationCounts:
         table = convergence_study(s, pert.resolved_g(s.horizon), pert.eps, strict=pert.strict)
         assert len(table.runs) == 6
         assert validate_calls == [s]
+
+
+def test_importing_the_cli_leaves_process_pools_unloaded():
+    """Only a sweep with more than one worker needs a process pool: a fresh
+    interpreter that imports the CLI has loaded neither concurrent.futures
+    nor multiprocessing."""
+    src = os.path.dirname(os.path.dirname(core.__file__))
+    code = ("import sys\nimport platoonsim.cli\n"
+            "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

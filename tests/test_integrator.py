@@ -346,15 +346,25 @@ def test_event_cap_hits_are_counted(fig1_left_scenario, fig1_left_result, monkey
         fig1_left_scenario, res.trajectory)
 
 
+def _evaluated_times(monkeypatch) -> list[float]:
+    """The times at which profiles are evaluated from now on, one entry per
+    time, whether through value (forcing(t)) or values (march's tables)."""
+    times = []
+    value, values = PiecewiseProfile.value, PiecewiseProfile.values
+    monkeypatch.setattr(PiecewiseProfile, "value", lambda p, t: times.append(t) or value(p, t))
+    monkeypatch.setattr(PiecewiseProfile, "values",
+                        lambda p, ts: times.extend(ts) or values(p, ts))
+    return times
+
+
 def test_time_varying_leader_is_evaluated_once_per_stage_time(monkeypatch):
     """k2 and k3 share t + h/2 and k4 shares the step's end with the accepted
-    point, so a switch-free run evaluates the profile twice per step."""
-    calls = []
-    value = PiecewiseProfile.value
-    monkeypatch.setattr(PiecewiseProfile, "value", lambda p, t: calls.append(t) or value(p, t))
+    point, so a switch-free run evaluates the profile twice per step, once
+    more at the start."""
+    times = _evaluated_times(monkeypatch)
     res = simulate(load_preset("order_check").scenario, validate=False)
     assert res.stats.switch_refinements == 0
-    assert len(calls) == 2 * res.stats.steps + 1
+    assert len(times) == 2 * res.stats.steps + 1
 
 
 @pytest.mark.parametrize("v, clamped", [(-5e-10, 0.0), (2.0 + 5e-10, 2.0), (1.0, 1.0)])
@@ -384,14 +394,12 @@ def test_guard_trips_just_outside_the_noise_band(fig1_left_scenario, v):
 
 def test_ovfl_engine_evaluates_only_the_leader_profile(monkeypatch):
     """OVFL reads no controls, so time-varying controls are never sampled."""
-    calls = []
-    value = PiecewiseProfile.value
-    monkeypatch.setattr(PiecewiseProfile, "value", lambda p, t: calls.append(t) or value(p, t))
+    times = _evaluated_times(monkeypatch)
     s = load_preset("order_check").scenario
     s = replace(s, controls=(parse_profile("0 10 sin 1.0 0.1 0.2 0.0"),))
     res = simulate(s, validate=False)
     assert res.stats.switch_refinements == 0
-    assert len(calls) == 2 * res.stats.steps + 1
+    assert len(times) == 2 * res.stats.steps + 1
 
 
 def _textbook_rk4(deriv, t, y, h, k1):
@@ -706,5 +714,66 @@ def test_an_event_on_a_block_boundary(preset, event_step, monkeypatch):
     s = replace(s, horizon=2.0 * t_event, stepper=replace(s.stepper, dt=dt))
     assert math.ceil(event_time(s) / dt) == event_step
     marched = _run_bits(s)
+    _hand_back_every_step(monkeypatch)
+    assert _run_bits(s) == marched
+
+
+def test_a_tie_held_through_a_run_rebuilds_no_signs(monkeypatch):
+    """equilibrium's followers sit on a tie (branch sign 0) for the whole
+    run. march rebuilds the signs only where one may have changed, so _signs
+    runs once, for the initial node, however many steps the run takes."""
+    calls = []
+    signs = integrator._signs
+    monkeypatch.setattr(integrator, "_signs", lambda phi: calls.append(phi) or signs(phi))
+    s = load_preset("equilibrium").scenario
+    for horizon in (0.1 * s.horizon, s.horizon):
+        calls.clear()
+        res = simulate(replace(s, horizon=horizon), validate=False)
+        assert (res.trajectory.branches == BranchFlag.TIE).all()
+        assert len(calls) == 1
+
+
+def _varying_platoon(kind, **changes):
+    """A platoon of four under a sine leader and sine controls, followers 2
+    and 3 sharing one control object as a sweep's broadcast controls do. Over
+    its 400 steps (four march blocks) both min-type laws switch branches."""
+    base = load_preset("fig1_left").scenario
+    shared = parse_profile("0 100 sin 1.0 0.5 2.0 0.2")
+    s = replace(base, horizon=4.0,
+                initial=PlatoonState((VehicleState(6.0, 1.0), VehicleState(4.0, 1.6),
+                                      VehicleState(2.0, 1.2), VehicleState(0.0, 1.5))),
+                leader=LeaderProfile(parse_profile("0 100 sin 0.0 0.5 2.0 0.5"), 1.0),
+                controls=(parse_profile("0 100 sin 1.0 0.5 1.5 0.0"), shared, shared))
+    s = next(v for v in _law_variants(s) if v.model_kind is kind)
+    return replace(s, **changes)
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_march_matches_the_event_path_under_time_varying_forcing(kind, monkeypatch):
+    """march reads its forcing from the block's tables, the event path calls
+    forcing(t) at its own times: the two give the same run, bit for bit, over
+    several blocks of a time-varying leader and controls."""
+    s = _varying_platoon(kind)
+    marched = _run_bits(s)
+    stats = marched[3]
+    assert stats.steps >= 3 * integrator._BLOCK_ROWS
+    assert (stats.switch_refinements > 0) == (kind is not ModelKind.OVFL)
+    _hand_back_every_step(monkeypatch)
+    assert _run_bits(s) == marched
+
+
+@pytest.mark.parametrize("kind", [ModelKind.PROPOSED, ModelKind.CACC])
+@pytest.mark.parametrize("event_step", [integrator._BLOCK_ROWS, integrator._BLOCK_ROWS + 1])
+def test_a_switch_on_a_block_boundary_under_time_varying_forcing(kind, event_step, monkeypatch):
+    """The first switch in the last step of march's first block or the first
+    step of its second, under time-varying forcing: after the handed-back
+    step march resumes at the block's next row, and the run is the event
+    path's bit for bit."""
+    t_event = simulate(_varying_platoon(kind), validate=False).stats.switch_events[0].time
+    dt = t_event / (event_step - 0.5)
+    s = _varying_platoon(kind, horizon=3.0 * t_event,
+                         stepper=replace(load_preset("fig1_left").scenario.stepper, dt=dt))
+    marched = _run_bits(s)
+    assert math.ceil(marched[3].switch_events[0].time / dt) == event_step
     _hand_back_every_step(monkeypatch)
     assert _run_bits(s) == marched

@@ -270,6 +270,50 @@ def test_value_matches_its_definition_bit_for_bit(shapes, fracs):
     assert [p.value(t).hex() for t in ts] == [_value_oracle(p, t).hex() for t in ts]
 
 
+# Segments of any slope with zero to two sines: (length, const, slope, sines).
+_sine_segments = st.tuples(
+    st.floats(min_value=0.5, max_value=5.0),
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.floats(min_value=-0.5, max_value=0.5),
+    st.lists(st.tuples(st.floats(min_value=-1.0, max_value=1.0),
+                       st.floats(min_value=0.0, max_value=5.0),
+                       st.floats(min_value=0.0, max_value=2.0 * math.pi)), max_size=2),
+)
+
+
+def _sine_profile(shapes, t0: float = 0.0) -> PiecewiseProfile:
+    segs = []
+    for length, const, slope, sines in shapes:
+        segs.append(Segment(t0, t0 + length, const=const, slope=slope, sines=tuple(sines)))
+        t0 += length
+    return PiecewiseProfile(tuple(segs))
+
+
+@given(st.lists(_sine_segments, min_size=1, max_size=4),
+       st.none() | st.tuples(st.lists(_sine_segments, min_size=1, max_size=3),
+                             st.floats(min_value=0.0, max_value=1.0),
+                             st.floats(min_value=-0.4, max_value=0.4)),
+       st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=20), st.randoms())
+@settings(max_examples=80, deadline=None)
+def test_values_is_value_bit_for_bit(shapes, perturbation, fracs, random):
+    """The block evaluator equals value at every time: on multi-segment
+    profiles with up to two sines per segment and on the sums a_l + eps g
+    that perturbed_scenario builds (g's cuts shifted against a_l's), at each
+    segment start and its neighbouring floats, at interior points, and
+    before the start and past the end; in sorted, reversed and shuffled
+    order, so that a segment is looked up again wherever t leaves it."""
+    p = _sine_profile(shapes)
+    if perturbation is not None:
+        g_shapes, eps, shift = perturbation
+        p = p + _sine_profile(g_shapes, shift).scaled(eps)
+    cuts = [seg.t0 for seg in p.segments] + [p.end]
+    ts = [u for t in cuts for u in (math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf))]
+    ts += [p.start - 1.0, p.end + 1.0] + [p.start + f * (p.end - p.start) for f in fracs]
+    shuffled = random.sample(ts, len(ts))
+    for order in (sorted(ts), sorted(ts, reverse=True), shuffled):
+        assert [v.hex() for v in p.values(order)] == [p.value(t).hex() for t in order]
+
+
 @given(st.lists(_segment_shapes, min_size=1, max_size=3),
        st.floats(min_value=0.0, max_value=0.6), st.floats(min_value=0.0, max_value=0.6),
        st.booleans())
