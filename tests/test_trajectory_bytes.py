@@ -2,10 +2,12 @@
 
 Criterion 9 compares reruns of one version; these digests hold the bytes
 fixed across versions of the integrator and the CSV writer. Every run here
-has constant profiles and, but for the ovfl point, uses only + - * / on
-floats (no exp, sin or tanh), so correctly rounded binary64 arithmetic gives
-the same bytes everywhere. The ovfl point also calls math.tanh, so its
-digest holds on a platform whose libm rounds tanh as glibc does.
+but those marked time-varying has constant profiles and, but for the ovfl
+points, uses only + - * / on floats (no exp, sin or tanh), so correctly
+rounded binary64 arithmetic gives the same bytes everywhere. The ovfl
+points also call math.tanh, and the time-varying runs call math.sin on
+their leader and control profiles, so those digests hold on a platform
+whose libm rounds tanh and sin as glibc does.
 
 The block writers are also held byte-equal to the per-row writers they
 replaced, kept here as an oracle, on runs and on synthetic tables.
@@ -13,13 +15,17 @@ replaced, kept here as an oracle, on runs and on synthetic tables.
 
 import csv
 import hashlib
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from platoonsim import Trajectory, build_envelope, expand_sweep, load_preset, parse_config, simulate
+from platoonsim import (CaccParams, ModelKind, PlatoonState, Trajectory, VehicleState,
+                        build_envelope, expand_sweep, load_preset, parse_config, simulate)
+from platoonsim.core import LeaderProfile
 from platoonsim.presets import preset_text
+from platoonsim.scenario_io import parse_profile
 from platoonsim.trajectory_io import (_ROWS_PER_CHUNK, fmt, trajectory_header,
                                       write_envelope_csv, write_trajectory_csv)
 
@@ -36,6 +42,12 @@ DIGESTS = {
     # benchmark sweep_grid points with n=32: three switches, and the ovfl law
     "sweep_grid[proposed, 2.0, 0.0]": "33a43a8683c85978d7695c65618f569256b0d154c8b0eacaf665eb03a460cdda",
     "sweep_grid[ovfl, 0.25, 0.8]": "ecb7cf592465ed35c9b605c5a8948f0a03a2e1898f3ee879798fff268b882916",
+    # time-varying: a wave leader under ovfl
+    "order_check": "5448a4b58cea5b3cf87e7d78411e1300227b05eea25565d887018dbaab33727a",
+    # time-varying: a sine leader and sine controls, two followers sharing one
+    # control object; four (proposed) and six (cacc) located switches
+    "varying[proposed]": "199402156241e116650ca4e6d63acdaffc51ef1f4c73296e84f1fe6c3e13d382",
+    "varying[cacc]": "227f8a9bd28ca84103e7914bd27b823997c2895bc4010101c08193514fb4d362",
 }
 
 
@@ -48,7 +60,25 @@ def _sweep_grid_point(model, h0, v0):
     return expand_sweep(cfg.scenario, cfg.sweep)[0]
 
 
+def _varying(model):
+    """fig1_left's parameters on a platoon of four under a sine leader and
+    sine controls, followers 2 and 3 sharing one control object as a
+    sweep's broadcast controls do; both min-type laws switch branches."""
+    s = load_preset("fig1_left").scenario
+    shared = parse_profile("0 100 sin 1.0 0.5 2.0 0.2")
+    s = replace(s, horizon=4.0,
+                initial=PlatoonState((VehicleState(6.0, 1.0), VehicleState(4.0, 1.6),
+                                      VehicleState(2.0, 1.2), VehicleState(0.0, 1.5))),
+                leader=LeaderProfile(parse_profile("0 100 sin 0.0 0.5 2.0 0.5"), 1.0),
+                controls=(parse_profile("0 100 sin 1.0 0.5 1.5 0.0"), shared, shared))
+    if model == "cacc":
+        s = replace(s, model_kind=ModelKind.CACC, params=CaccParams(s.base_params))
+    return s
+
+
 def _scenario(name):
+    if name.startswith("varying["):
+        return _varying(name[len("varying["):-1])
     if name.startswith("sweep_grid["):
         return _sweep_grid_point(*name[len("sweep_grid["):-1].split(", "))
     if name.startswith("sweep_demo["):
