@@ -286,7 +286,14 @@ def cmd_perturb(args) -> int:
     pert = parsed.perturbation
     strict = pert.strict if args.strict_eps is None else args.strict_eps == "true"
     g = pert.resolved_g(s.horizon)
-    eps0 = max_perturbation_scale(g, s.leader, s.base_params.v_bar, s.horizon)
+    try:
+        eps0 = max_perturbation_scale(g, s.leader, s.base_params.v_bar, s.horizon)
+    except ValueError:
+        # The L1 headroom behind the scale is only a sufficient bound: a
+        # non-strict study runs a leader without it and reports no scale.
+        if strict or not g.l1_norm(0.0, s.horizon) > 0.0:
+            raise
+        eps0 = None
     table = convergence_study(s, g, pert.eps, strict=strict)
     base, last = table.runs[0], table.runs[-1]
     if base.status is not SolveStatus.COMPLETED:

@@ -27,11 +27,12 @@ a closed headway, and an exit from the speed box under the min-type law).
 At the first step it cannot accept on its own, march hands back the last
 accepted node, and _advance takes that step again on the event path above,
 so every event is still located in one place; march then resumes at the
-block's next step. simulate tabulates the leader acceleration and the
-controls at each block's stage times once, and march reads its steps' rows
-of that table; the event path evaluates them at its own times. simulate
-copies the accepted rows of each march call into the output array at once,
-and its branch signs once per stretch of steps that keep them.
+block's next step. Every kernel reads the leader acceleration and the
+controls through one evaluator, _forcing: simulate tabulates them at each
+block's stage times once and march reads its steps' rows of that table,
+step builds its one row the same way, and deriv reads them at its one time.
+simulate copies the accepted rows of each march call into the output array
+at once, and its branch signs once per stretch of steps that keep them.
 """
 
 from __future__ import annotations
@@ -180,7 +181,7 @@ _MARCH_LOCALS = ("kv", "kd", "kk", "ts", "ka", "gdd", "n", "size", "phi", "tanh"
 
 
 def _kernel_source(body: str, box: bool) -> list[str]:
-    """The sources of deriv(t, y), the fused RK4 step(t, y, h, k1, t_end) and
+    """The sources of deriv(t, y), the fused RK4 step(t, y, k1, t_end) and
     march(t, y, k1, sg, grid, k, stop, ys, ss, table, k0) of one law body.
 
     step makes one pass over the platoon: a follower's stage state depends
@@ -195,17 +196,18 @@ def _kernel_source(body: str, box: bool) -> list[str]:
     follower, in loop order, whose headway is closed (at any stage under a
     singular law, at the end under any); only deriv's (and rhs's) i is
     reported. deriv never runs _closed, so rhs stays defined at any gap
-    under CACC. deriv and step evaluate forcing at their own times.
+    under CACC. deriv reads its forcing from at((t,)) and step from the row
+    rows(t, (t_end,))[0], its h being t_end - t (see _forcing).
 
     march takes the regular steps k, ..., stop - 1 of grid from the accepted
     node (t, y) with derivative k1 and branch signs sg, each with step's
     lines, so y_end and f_end are step's bit for bit; it reads step k's
-    forcing from row k - k0 of table, the block's forcing table (see
-    _forcing), and binds the names of _MARCH_LOCALS it uses as locals on
-    entry. The end pass runs _march_checks, and a step that raises _Singular
-    is not accepted. A flagged step rebuilds the signs with _signs. It
-    extends ys by each accepted y_end and appends (k, signs) to ss for each
-    accepted step k whose signs differ from its predecessor's.
+    forcing from row k - k0 of table, the block's rows, and binds the names
+    of _MARCH_LOCALS it uses as locals on entry. The end pass runs
+    _march_checks, and a step that raises _Singular is not accepted. A
+    flagged step rebuilds the signs with _signs. It extends ys by each
+    accepted y_end and appends (k, signs) to ss for each accepted step k
+    whose signs differ from its predecessor's.
     It returns (k, t, y, k1, sg): k is stop, or the first step that raised
     _Singular, left the speed box or flipped a branch, and (t, y, k1, sg)
     the last accepted node.
@@ -231,8 +233,10 @@ def _kernel_source(body: str, box: bool) -> list[str]:
     def end(idx, s, d):
         return [f"out[{idx}] = {s}", f"f[{idx}] = {d}"]
 
-    def rk4(forcing, checks):
-        return ["half = 0.5 * h", *forcing, "out = [0.0] * size", "f = [0.0] * size",
+    def rk4(row, checks):
+        return ["h = t_end - t", "half = 0.5 * h",
+                f"a_l_2, us_2, a_l_4, us_4, a_l_e, us_e = {row}",
+                "out = [0.0] * size", "f = [0.0] * size",
                 *_loop(_loads("y", "k1"),
                        _platoon_pass(body, "2", stage(1, "half"), "_2", in_locals, []),
                        _platoon_pass(body, "3", stage(2, "half"), "_2", in_locals, []),
@@ -241,17 +245,13 @@ def _kernel_source(body: str, box: bool) -> list[str]:
 
     branches = _uses(body, "g")
     gaps = ["phi[i - 1] = g - c"] * branches
-    deriv = ["out = [0.0] * size", "a_l, us = forcing(t)",
+    deriv = ["out = [0.0] * size", "(a_l,), (us,) = at((t,))",
              *_loop(_platoon_pass(body, "d", lambda c, idx: f"y[{idx}]", "", derivative, gaps)),
              "return out"]
-    step = [*rk4(["a_l_2, us_2 = forcing(t + half)", "t_4 = t + h", "a_l_4, us_4 = forcing(t_4)",
-                  "a_l_e, us_e = (a_l_4, us_4) if t_end == t_4 else forcing(t_end)"],
-                 gaps + _closed(body)),
-            "return out, f"]
-    march = ["for k in range(k, stop):", "    t_end = grid[k]", "    h = t_end - t",
-             "    a_l_2, us_2, a_l_4, us_4, a_l_e, us_e = table[k - k0]",
+    step = [*rk4("rows(t, (t_end,))[0]", gaps + _closed(body)), "return out, f"]
+    march = ["for k in range(k, stop):", "    t_end = grid[k]",
              *["    fl = False"] * branches, "    try:",
-             *[f"        {line}" for line in rk4([], _march_checks(body, box))],
+             *[f"        {line}" for line in rk4("table[k - k0]", _march_checks(body, box))],
              "    except _Singular:", "        return k, t, y, k1, sg",
              *["    if fl:", "        new = _signs(phi)", "        if new != sg:",
                "            if _flipped(sg, new):", "                return k, t, y, k1, sg",
@@ -260,7 +260,7 @@ def _kernel_source(body: str, box: bool) -> list[str]:
              "return stop, t, y, k1, sg"]
     bound = [f"{name}={name}" for name in _MARCH_LOCALS if _uses("\n".join(march), name)]
     return [f"def {sig}:\n" + "".join(f"    {line}\n" for line in lines)
-            for sig, lines in (("deriv(t, y)", deriv), ("step(t, y, h, k1, t_end)", step),
+            for sig, lines in (("deriv(t, y)", deriv), ("step(t, y, k1, t_end)", step),
                                (f"march(t, y, k1, sg, grid, k, stop, ys, ss, table, k0, *, "
                                 f"{', '.join(bound)})", march))]
 
@@ -301,9 +301,8 @@ class _Engine:
     cost nothing extra; march leaves those of its last step. A step raises
     _Singular where a headway closes, the one collision signal.
 
-    forcing(t) is the leader acceleration and the follower controls at t,
-    and table(grid, k, stop) march's forcing table for the steps k, ...,
-    stop - 1 (see _forcing).
+    rows(t, ends) is _forcing's, the forcing rows of the steps from t to
+    each time of ends; simulate passes a block's rows to march as its table.
     """
 
     def __init__(self, s: Scenario):
@@ -314,18 +313,9 @@ class _Engine:
         base = s.base_params
         self.v_bar = base.v_bar
         self.phi: list[float] = [0.0] * (self.n - 1)
-        a_fixed = s.leader.accel.is_constant()
-        controls = s.controls if _uses(body, "u") else ()
-        u_fixed = [u.is_constant() for u in controls]
-        if a_fixed is not None and None not in u_fixed:
-            fixed = (a_fixed, u_fixed)
-            row = fixed * 3
-            self.forcing = lambda t: fixed
-            self.table = lambda grid, k, stop: [row] * (stop - k)
-        else:
-            self.forcing, self.table = _forcing(s.leader.accel, a_fixed, controls, u_fixed)
+        at, self.rows = _forcing(s.leader.accel, s.controls if _uses(body, "u") else ())
         ns = {"kv": base.k_v, "kd": base.k_d, "kk": base.k, "ts": base.tau_s,
-              "n": self.n, "size": self.size, "forcing": self.forcing, "phi": self.phi,
+              "n": self.n, "size": self.size, "at": at, "rows": self.rows, "phi": self.phi,
               "tanh": math.tanh, "TANH2": TANH2, "v_bar": self.v_bar,
               "TIE_TOLERANCE": TIE_TOLERANCE, "_signs": _signs, "_flipped": _flipped,
               "_Singular": _Singular}
@@ -340,31 +330,36 @@ class _Engine:
         self.march = ns["march"]
 
 
-def _forcing(accel, a_fixed, controls, u_fixed):
-    """(forcing, table) for time-varying profiles; a_fixed and u_fixed hold
-    the constant ones' values, and a law without controls gets none.
+def _forcing(accel, controls):
+    """(at, rows), the one evaluator of the leader acceleration accel and the
+    follower controls; a law without controls gets none.
 
-    forcing(t) is (leader acceleration, follower controls) at t; step calls
-    it once per distinct stage time. table(grid, k, stop) is march's forcing
-    table for its steps k, ..., stop - 1: row k - k0 is (a_l_2, us_2, a_l_4,
-    us_4, a_l_e, us_e), the forcing at step k's t + h/2, t + h and t_end,
-    with t and h computed from grid as march computes them. Each varying
-    profile, the leader's and each follower's control, goes through its
-    values once per stage time, as forcing evaluates them; t_end is
-    evaluated only where it is not t + h.
+    at(ts) is ([a_l], [us]) at the times ts: each varying profile goes
+    through its values once per call, and a constant profile is its
+    constant. rows(t, ends) has one row (a_l_2, us_2, a_l_4, us_4, a_l_e,
+    us_e) per step from t to each time of ends in turn: the forcing at the
+    step's t + h/2, t + h and t_end, with h = t_end - t as step computes it
+    and t_end evaluated only where it is not t + h. All-constant forcing
+    gives one shared row and computes no times.
     """
-    a_value = accel.value
-    u_values = [u.value for u in controls] if None in u_fixed else None
+    a_fixed = accel.is_constant()
+    u_fixed = [u.is_constant() for u in controls]
+    u_varying = None in u_fixed
+    fixed = a_fixed is not None and not u_varying
+    row = (a_fixed, u_fixed) * 3
 
-    def forcing(t: float) -> tuple[float, list[float]]:
-        us = u_fixed if u_values is None else [
-            c if c is not None else value(t) for c, value in zip(u_fixed, u_values)]
-        return a_fixed if a_fixed is not None else a_value(t), us
+    def at(ts) -> tuple[list[float], list]:
+        a = [a_fixed] * len(ts) if a_fixed is not None else accel.values(ts)
+        if not u_varying:
+            return a, [u_fixed] * len(ts)
+        return a, list(zip(*[u.values(ts) if c is None else [c] * len(ts)
+                             for u, c in zip(controls, u_fixed)]))
 
-    def table(grid: list[float], k: int, stop: int) -> list[tuple]:
+    def rows(t: float, ends) -> list[tuple]:
+        if fixed:
+            return [row] * len(ends)
         ts, firsts = [], []
-        t = grid[k - 1]
-        for t_end in grid[k:stop]:
+        for t_end in ends:
             h = t_end - t
             t_4 = t + h
             firsts.append(len(ts))
@@ -373,13 +368,11 @@ def _forcing(accel, a_fixed, controls, u_fixed):
                 ts.append(t_end)
             t = t_end
         firsts.append(len(ts))
-        a = [a_fixed] * len(ts) if a_fixed is not None else accel.values(ts)
-        us = [u_fixed] * len(ts) if u_values is None else list(zip(*[
-            u.values(ts) if c is None else [c] * len(ts) for u, c in zip(controls, u_fixed)]))
+        a, us = at(ts)
         return [(a[i], us[i], a[i + 1], us[i + 1], a[e - 1], us[e - 1])
                 for i, e in zip(firsts, firsts[1:])]
 
-    return forcing, table
+    return at, rows
 
 
 class _RunState:
@@ -421,7 +414,7 @@ def _advance(eng: _Engine, run: _RunState, t: float, y: list[float], f,
     for _ in range(_MAX_EVENTS_PER_STEP):
         run.rhs_evals += 4
         try:
-            y_trial, f_trial = eng.step(t, y, target - t, f, target)
+            y_trial, f_trial = eng.step(t, y, f, target)
         except _Singular:
             raise _collision(eng, run, t, y, f, target)
         signs_trial = _signs(eng.phi)
@@ -431,7 +424,7 @@ def _advance(eng: _Engine, run: _RunState, t: float, y: list[float], f,
         lo, hi = _bisect(eng, run, t, y, f, target, signs)
         run.rhs_evals += 4
         try:
-            y_hi, f_hi = eng.step(t, y, hi - t, f, hi)
+            y_hi, f_hi = eng.step(t, y, f, hi)
         except _Singular:
             raise _collision(eng, run, t, y, f, hi)
         run.switch_refinements += 1
@@ -458,7 +451,7 @@ def _bisect(eng: _Engine, run: _RunState, t: float, y: list[float], f, hi: float
         calls += 1
         mid = 0.5 * (lo + hi)
         try:
-            eng.step(t, y, mid - t, f, mid)
+            eng.step(t, y, f, mid)
             hit = signs is not None and _flipped(signs, _signs(eng.phi))
         except _Singular:
             hit = True
@@ -484,7 +477,7 @@ def _collision(eng: _Engine, run: _RunState, t: float, y: list[float],
     """
     lo, _ = _bisect(eng, run, t, y, f, hi, None)
     if lo > t:
-        y, _ = eng.step(t, y, lo - t, f, lo)
+        y, _ = eng.step(t, y, f, lo)
     else:
         eng.deriv(t, y)
     run.rhs_evals += 4 if lo > t else 1
@@ -599,7 +592,7 @@ def simulate(s: Scenario, *, validate: bool = True) -> SolveResult:
         while k <= n_steps:
             if k == end:
                 k0, end = k, min(k + _BLOCK_ROWS, n_steps + 1)
-                table = eng.table(grid, k0, end)
+                table = eng.rows(grid[k0 - 1], grid[k0:end])
             ys, ss = [], []
             S[k:end] = signs
             j, t, y, f, signs = eng.march(t, y, f, signs, grid, k, end, ys, ss, table, k0)

@@ -82,16 +82,19 @@ def max_perturbation_scale(g: PiecewiseProfile, leader: LeaderProfile,
     """Largest admissible scale (v_bar - v_l0 - ||a_l||_1) / ||g||_1 on [0, T].
 
     Zero for a leader already saturating the cap. A negative numerator
-    means the unperturbed leader can break the cap on its own, which no
-    scale fixes, so that is an error rather than a clamp.
+    means the L1 bound v_l0 + ||a_l||_1 on the leader's speed exceeds v_bar.
+    That bound is only sufficient (the leader itself may keep the cap), but
+    no scale is admissible by it, so that is an error rather than a clamp.
     """
     g_norm = g.l1_norm(0.0, T)
     if g_norm <= 0.0:
         raise ValueError("perturbation shape has zero L1 norm on [0, T]")
-    headroom = v_bar - leader.v0 - leader.accel.l1_norm(0.0, T)
+    a_norm = leader.accel.l1_norm(0.0, T)
+    headroom = v_bar - leader.v0 - a_norm
     if headroom < 0.0:
         raise ValueError(
-            f"leader profile alone can exceed the speed cap (headroom {headroom!r})")
+            f"no perturbation scale is admissible: the L1 bound v0 + ||a_l||_1 = "
+            f"{leader.v0 + a_norm!r} exceeds v_bar = {v_bar!r} (headroom {headroom!r})")
     return headroom / g_norm
 
 

@@ -202,9 +202,9 @@ class PiecewiseProfile:
     def value(self, t: float) -> float:
         """The profile at t, clamped to the end values outside [start, end].
 
-        This is the integrator's per-stage evaluator: one bisection in a
-        cached table, then Segment.value. The table holds only floats and
-        segments, so the profile stays picklable for sweep workers.
+        One bisection in a cached table, then Segment.value. The table holds
+        only floats and segments, so the profile stays picklable for sweep
+        workers. The integrator evaluates profiles through values instead.
         """
         starts, segments, start, end, at_start, at_end = self._table
         if t <= start:
@@ -214,8 +214,8 @@ class PiecewiseProfile:
         return segments[bisect_right(starts, t) - 1].value(t)
 
     def values(self, ts) -> list[float]:
-        """[self.value(t) for t in ts], bit for bit: the integrator's block
-        evaluator for a march block's stage times.
+        """[self.value(t) for t in ts], bit for bit: the integrator's one
+        evaluator, for a march block's stage times, a step's or a time.
 
         It bisects only when t leaves the segment of the time before it, so
         a sorted block costs one lookup per segment it meets, and calls that

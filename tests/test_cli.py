@@ -363,6 +363,34 @@ class TestPerturb:
         assert not out.exists()
         assert calls == []
 
+    def test_leader_beyond_the_l1_bound_runs_when_not_strict(self, tmp_path, capsys):
+        """The admissible scale needs v0 + ||a_l||_1 <= v_bar, a sufficient
+        bound only: this sine leader's speed stays in [1, 1.6] under
+        v_bar = 2 although its L1 bound is about 20. A non-strict study runs
+        it and reports no admissible scale; a strict one refuses it."""
+        text = preset_text("fig5")
+        text = text[:text.index("[initial]")].replace("T = 60.0", "T = 100.0") + (
+            "[initial]\npositions = 5, 0\nvelocities = 1, 1\n\n"
+            "[leader]\nv0 = 1.0\nprofile = 0 100 sin 0.0 0.3 1.0 0.0\n\n"
+            "[controls]\nu = 0 100 const 1.0\n\n[stepper]\ndt = 0.01\n\n"
+            "[perturbation]\ng = 0 100 const 0.001\neps = 0.1, 0.05, 0.025\nstrict = false\n")
+        cfg = tmp_path / "l1.ini"
+        cfg.write_text(text, encoding="utf-8")
+        assert run("simulate", "--config", str(cfg), "--out", str(tmp_path / "s")) == 0
+        out = tmp_path / "o"
+        assert run("perturb", "--config", str(cfg), "--out", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["strict"], manifest["eps_admissible_max"]) == (False, None)
+        lines = (out / "convergence.csv").read_text().splitlines()
+        assert [float(r.split(",")[1]) for r in lines[1:]] == pytest.approx([0.5, 0.25, 0.125],
+                                                                           rel=1e-3)
+        capsys.readouterr()
+        strict_out = tmp_path / "strict"
+        code = run("perturb", "--config", str(cfg), "--out", str(strict_out), "--strict-eps", "true")
+        assert code == 3
+        assert "the L1 bound v0 + ||a_l||_1 = " in capsys.readouterr().err
+        assert not strict_out.exists()
+
     def test_config_without_perturbation_section(self, tmp_path, capsys):
         code = run("perturb", "--preset", "fig4", "--out", str(tmp_path))
         assert code == 3

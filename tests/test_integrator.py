@@ -35,7 +35,7 @@ from platoonsim import (
 from platoonsim import integrator
 from platoonsim.core import LeaderProfile
 from platoonsim.integrator import time_grid, trajectory_mismatches
-from platoonsim.profiles import PiecewiseProfile
+from platoonsim.profiles import PiecewiseProfile, Segment
 from platoonsim.scenario_io import parse_profile
 
 import textbook_laws
@@ -348,7 +348,7 @@ def test_event_cap_hits_are_counted(fig1_left_scenario, fig1_left_result, monkey
 
 def _evaluated_times(monkeypatch) -> list[float]:
     """The times at which profiles are evaluated from now on, one entry per
-    time, whether through value (forcing(t)) or values (march's tables)."""
+    time, through values (the integrator's one evaluator) or value."""
     times = []
     value, values = PiecewiseProfile.value, PiecewiseProfile.values
     monkeypatch.setattr(PiecewiseProfile, "value", lambda p, t: times.append(t) or value(p, t))
@@ -392,6 +392,20 @@ def test_guard_trips_just_outside_the_noise_band(fig1_left_scenario, v):
     assert stop.value.status is SolveStatus.GUARD_TRIPPED
 
 
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_simulate_evaluates_profiles_only_through_values(kind, monkeypatch):
+    """Every kernel reads its forcing through one evaluator: a run under a
+    time-varying leader and controls, with located switches under the
+    min-type laws, evaluates profiles only through PiecewiseProfile.values,
+    its first deriv and its event path included."""
+    s = _varying_platoon(kind)
+    value_calls = []
+    monkeypatch.setattr(PiecewiseProfile, "value", lambda p, t: value_calls.append(t))
+    res = simulate(s, validate=False)
+    assert (res.stats.switch_refinements > 0) == (kind is not ModelKind.OVFL)
+    assert value_calls == []
+
+
 def test_ovfl_engine_evaluates_only_the_leader_profile(monkeypatch):
     """OVFL reads no controls, so time-varying controls are never sampled."""
     times = _evaluated_times(monkeypatch)
@@ -422,10 +436,11 @@ def _step_outcome(eng, step, *args):
 
 
 def _textbook_step(eng):
-    """A textbook RK4 step and deriv at its end, raising _Singular for the
-    first follower whose end headway is not positive (under any law)."""
-    def step(t, y, h, k1, t_end):
-        y_end = _textbook_rk4(eng.deriv, t, y, h, k1)
+    """A textbook RK4 step of size t_end - t and deriv at its end, raising
+    _Singular for the first follower whose end headway is not positive
+    (under any law)."""
+    def step(t, y, k1, t_end):
+        y_end = _textbook_rk4(eng.deriv, t, y, t_end - t, k1)
         for i in range(1, eng.n):
             if y_end[2 * i - 2] - y_end[2 * i] <= 0.0:
                 raise integrator._Singular(i)
@@ -438,22 +453,48 @@ def _textbook_step(eng):
        end_ulps=st.sampled_from([0, 1, -1]))
 @settings(max_examples=100, deadline=None)
 def test_fused_rk4_matches_a_textbook_rk4(preset, platoon, h_frac, end_ulps):
-    """The generated step equals a textbook RK4 followed by deriv(t_end, ·)
-    bit for bit, branch gaps included, with a time-varying leader and
-    controls, also when t_end is an ulp off t + h (a bisection's midpoint),
-    and raises _Singular exactly when either of the two does. Platoons of up
-    to 33 vehicles check the stage states that the one-pass step carries down
-    a long chain of followers."""
+    """The generated step equals a textbook RK4 of size t_end - t followed
+    by deriv(t_end, ·) bit for bit, branch gaps included, with a time-varying
+    leader and controls, also when t_end is an ulp off a grid time (a
+    bisection's midpoint), and raises _Singular exactly when either of the
+    two does. Platoons of up to 33 vehicles check the stage states that the
+    one-pass step carries down a long chain of followers."""
     xs, vs, t = platoon
     s = _varying_scenario(preset, xs, vs)
     eng = integrator._Engine(s)
     y = [c for xv in zip(xs, vs) for c in xv]
     k1 = eng.deriv(t, y)
-    h = h_frac * s.stepper.dt
-    t_end = math.nextafter(t + h, end_ulps * math.inf) if end_ulps else t + h
-    args = (t, y, h, k1, t_end)
+    t_end = t + h_frac * s.stepper.dt
+    if end_ulps:
+        t_end = math.nextafter(t_end, end_ulps * math.inf)
+    args = (t, y, k1, t_end)
     expected = _step_outcome(eng, _textbook_step(eng), *args)
     assert _step_outcome(eng, eng.step, *args) == expected
+
+
+@pytest.mark.parametrize("preset", ["fig1_left", "fig1_left_cacc", "fig1_left_ovfl"])
+def test_fused_rk4_evaluates_the_end_time_where_it_is_not_t_plus_h(preset, monkeypatch):
+    """For t_end <= 2t, h = t_end - t is exact (Sterbenz) and t + h is t_end,
+    so random draws almost never reach a step whose t + h is not t_end. Here
+    t + h is t_end's next float, and the leader's acceleration steps from 0
+    to 0.25 there, so k4 and the end derivative read different forcing:
+    step evaluates each varying profile at three stage times, t + h/2,
+    t + h and t_end, once each, and equals a textbook RK4 bit for bit."""
+    t, t_end = 0.0009786397624772232, 0.005072429838290596
+    h = t_end - t
+    assert t + h == 0.0050724298382905965 != t_end
+    xs, vs = [4.0, 2.0, 0.0], [1.0, 1.2, 0.8]
+    s = _varying_scenario(preset, xs, vs)
+    accel = PiecewiseProfile((Segment(0.0, t + h), Segment(t + h, 100.0, const=0.25)))
+    s = replace(s, leader=LeaderProfile(accel, s.leader.v0))
+    eng = integrator._Engine(s)
+    y = [c for xv in zip(xs, vs) for c in xv]
+    k1 = eng.deriv(t, y)
+    expected = _step_outcome(eng, _textbook_step(eng), t, y, k1, t_end)
+    times = _evaluated_times(monkeypatch)
+    assert _step_outcome(eng, eng.step, t, y, k1, t_end) == expected != "singular"
+    profiles = 1 if s.model_kind is ModelKind.OVFL else len(xs)
+    assert times == [t + 0.5 * h, t + h, t_end] * profiles
 
 
 @pytest.mark.parametrize("preset, d, v_l, v, h_frac, stage", [
@@ -478,7 +519,7 @@ def test_fused_rk4_raises_in_the_stage_a_textbook_rk4_raises(preset, d, v_l, v, 
         _textbook_rk4(lambda t, y: stages.append(t) or eng.deriv(t, y), 0.0, y, h, k1)
     assert len(stages) + 1 == stage
     with pytest.raises(integrator._Singular) as got:
-        eng.step(0.0, y, h, k1, h)
+        eng.step(0.0, y, k1, h)
     assert got.value.args == ref.value.args == (1,)
     shown = "".join(traceback.format_exception(got.value))
     assert f'File "<platoonsim kernels: {s.model_kind.value}>"' in shown
@@ -502,7 +543,7 @@ def test_step_raises_in_loop_order_and_simulate_stops_where_a_textbook_rk4_does(
     with pytest.raises(integrator._Singular) as ref:
         _textbook_rk4(lambda t, y: stages.append(t) or eng.deriv(t, y), 0.0, y, h, k1)
     with pytest.raises(integrator._Singular) as got:
-        eng.step(0.0, y, h, k1, h)
+        eng.step(0.0, y, k1, h)
     assert (len(stages) + 1, ref.value.args, got.value.args) == (2, (2,), (1,))
 
     one_pass = simulate(s, validate=False)
@@ -750,9 +791,9 @@ def _varying_platoon(kind, **changes):
 
 @pytest.mark.parametrize("kind", list(ModelKind))
 def test_march_matches_the_event_path_under_time_varying_forcing(kind, monkeypatch):
-    """march reads its forcing from the block's tables, the event path calls
-    forcing(t) at its own times: the two give the same run, bit for bit, over
-    several blocks of a time-varying leader and controls."""
+    """march reads its forcing from the block's table, the event path's step
+    builds its own row at its own times: the two give the same run, bit for
+    bit, over several blocks of a time-varying leader and controls."""
     s = _varying_platoon(kind)
     marched = _run_bits(s)
     stats = marched[3]
