@@ -1,4 +1,5 @@
-"""trajectory.csv bytes pinned to digests taken from an earlier release.
+"""trajectory.csv bytes, and the CSVs of the multi-file commands, pinned to
+digests taken from earlier releases.
 
 Criterion 9 compares reruns of one version; these digests hold the bytes
 fixed across versions of the integrator and the CSV writer. Every run here
@@ -23,6 +24,7 @@ import pytest
 
 from platoonsim import (CaccParams, ModelKind, PlatoonState, Trajectory, VehicleState,
                         build_envelope, expand_sweep, load_preset, parse_config, simulate)
+from platoonsim.cli import main
 from platoonsim.core import LeaderProfile
 from platoonsim.presets import preset_text
 from platoonsim.scenario_io import parse_profile
@@ -92,6 +94,52 @@ def test_trajectory_csv_bytes_are_pinned(name, tmp_path):
     path = tmp_path / "trajectory.csv"
     write_trajectory_csv(simulate(_scenario(name)).trajectory, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[name]
+
+
+# Every CSV each command writes, by file name, and the command's exit code.
+COMMAND_DIGESTS = {
+    # cacc.csv stops at its collision after 28 rows, beside two 10 001-row tables
+    "compare fig1_right": (0, {
+        "cacc.csv": "d0b77cc9f907f7e3618cbdb2174f4a59c6e196201a437971bad82e24e8c3a897",
+        "ovfl.csv": "9aa1d8bca201db66a7da23957c9a340dc45a421e48a77e7872c6badf4d17500f",
+        "proposed.csv": "9dd5b3d943d6b3b691c205929bf58eaa9a90d75459c4973590282b422e094179",
+        "summary.csv": "b6213d9d4943bfd48a09807bd7871db69631a5fc3376f30d1ade1fc1155eea81",
+    }),
+    "perturb fig5": (0, {
+        "convergence.csv": "d8a7cb6b26361433c0a4802cc6e05acec26ae117cb03193240fb3d60fdebca2c",
+        "trajectory_eps_0.01.csv": "042fbb71e6b0d08461bc65ed001d21b852bcf1d783541c8f5c7beaf87a8de7b4",
+        "trajectory_eps_0.05.csv": "3efa724ed26a1f6292fa0649a7185fffe5d715b550e6bb74161e47ad61e081ba",
+        "trajectory_eps_0.1.csv": "b8e443bc58a716e1f89f14195ee997c3db21f87b0dd75305552dd3f04239548a",
+        "trajectory_eps_0.5.csv": "9236fce76026a3158f69bd7f89b16868a2aebb620bc0b3c63bee7b8f0d05d727",
+        "trajectory_eps_1.0.csv": "455f90456a5a64e625bef103c39267292f320b3ffa8a3ea84fb8231126c39340",
+    }),
+    "envelope fig4": (0, {
+        "certification.csv": "f963d4f2db09495f5d3c8009fb958a8d91413bd13460efb345296afb33f6137c",
+        "envelope.csv": "1fdd0cb22ea330ad7cae2eeaa695b210b65c5263efaef0d80b7dd16f7c470396",
+        "trajectory.csv": "72ea30f995d4d182be99cec15f1c100cd10c7b6c54f8702a58490d256ee85e75",
+    }),
+    # the eps = 1000 run trips the guard after 45 steps; convergence.csv
+    # is its header alone
+    "perturb fig5_guard_trip": (4, {
+        "convergence.csv": "857bf95c6fce54121d0f40482e334ad396d8a1b957e5d1ddff91feb5f8cae926",
+        "trajectory_eps_1000.0.csv": "c5ac2a0ec69ea767635bd21960bd5fb1e510009044cf26341287eb9afa412665",
+    }),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMMAND_DIGESTS))
+def test_command_csv_bytes_are_pinned(case, tmp_path, capsys, fig5_guard_trip_text):
+    command, preset = case.split()
+    source = ["--preset", preset]
+    if preset == "fig5_guard_trip":
+        (tmp_path / "trip.ini").write_text(fig5_guard_trip_text, encoding="utf-8")
+        source = ["--config", str(tmp_path / "trip.ini")]
+    out = tmp_path / "out"
+    code, digests = COMMAND_DIGESTS[case]
+    assert main([command, *source, "--out", str(out)]) == code
+    assert sorted(p.name for p in out.iterdir()) == sorted([*digests, "manifest.json"])
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in digests} == digests
 
 
 def _oracle_trajectory_csv(traj, path):
