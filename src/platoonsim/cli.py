@@ -40,11 +40,13 @@ from .scenario_io import (
 )
 from .sweep import run_sweep, write_sweep_csv
 from .trajectory_io import (
+    convergence_table,
+    envelope_table,
     fmt,
     read_trajectory_csv,
+    trajectory_table,
     write_cert_report_csv,
-    write_convergence_csv,
-    write_envelope_csv,
+    write_tables,
     write_trajectory_csv,
 )
 
@@ -93,7 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a scenario grid")
     common(p_sweep)
     p_sweep.add_argument("--workers", type=int, default=1, metavar="N",
-                         help="parallel worker processes (default 1)")
+                         help="parallel worker processes, at most one per grid point; "
+                              "1 runs in-process (default 1)")
 
     return parser
 
@@ -190,6 +193,7 @@ def cmd_compare(args) -> int:
         ("ovfl", replace(s, model_kind=ModelKind.OVFL, params=base)),
     )
     outputs = ["summary.csv", "manifest.json"]
+    tables = []
     summary_rows = []
     proposed_status = SolveStatus.COMPLETED
     for name, variant in variants:
@@ -197,7 +201,7 @@ def cmd_compare(args) -> int:
         if name == "proposed":
             proposed_status = res.status
         traj = res.trajectory
-        write_trajectory_csv(traj, out / f"{name}.csv")
+        tables.append(trajectory_table(traj, out / f"{name}.csv"))
         outputs.append(f"{name}.csv")
         h = traj.headways()[:, 0]
         v = traj.velocities[:, 1]
@@ -219,6 +223,7 @@ def cmd_compare(args) -> int:
             print(f"{name}: collision at t={fmt(traj.collision[0])}")
         else:
             print(f"{name}: {res.status.value}, min headway {fmt(float(h.min()))}")
+    write_tables(tables)
     with open(out / "summary.csv", "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["model", "status", "min_headway", "collision_time",
@@ -255,15 +260,20 @@ def cmd_envelope(args) -> int:
         return _print_report(certify_trajectory(traj, build_envelope(s, traj)))
     out = _out_dir(args)
     res = simulate(s, validate=False)
-    write_trajectory_csv(res.trajectory, out / "trajectory.csv")
+    tables = [trajectory_table(res.trajectory, out / "trajectory.csv")]
+    # trajectory.csv is written whatever stops the certification.
+    try:
+        if res.status is SolveStatus.COMPLETED:
+            env = build_envelope(s, res.trajectory)
+            report = certify_trajectory(res.trajectory, env)
+            tables.append(envelope_table(res.trajectory, env, out / "envelope.csv"))
+    finally:
+        write_tables(tables)
     if res.status is not SolveStatus.COMPLETED:
         _write_manifest(out, "envelope", s, ["trajectory.csv", "manifest.json"],
                         {"status": res.status.value})
         _report_result(res)
         return _STATUS_EXIT[res.status]
-    env = build_envelope(s, res.trajectory)
-    report = certify_trajectory(res.trajectory, env)
-    write_envelope_csv(res.trajectory, env, out / "envelope.csv")
     write_cert_report_csv(report, out / "certification.csv")
     _write_manifest(out, "envelope", s,
                     ["trajectory.csv", "envelope.csv", "certification.csv", "manifest.json"],
@@ -302,11 +312,12 @@ def cmd_perturb(args) -> int:
     out = _out_dir(args)
     eps_values = sorted({float(e) for e in pert.eps}, reverse=True)
     outputs = ["convergence.csv", "manifest.json"]
+    tables = [convergence_table(table, out / "convergence.csv")]
     for eps, res in zip(eps_values, table.runs[1:]):
         name = f"trajectory_eps_{fmt(eps)}.csv"
-        write_trajectory_csv(res.trajectory, out / name)
+        tables.append(trajectory_table(res.trajectory, out / name))
         outputs.append(name)
-    write_convergence_csv(table, out / "convergence.csv")
+    write_tables(tables)
     _write_manifest(out, "perturb", s, outputs,
                     {"eps": eps_values, "eps_admissible_max": eps0, "strict": strict,
                      "g": profile_segments_dict(g)})

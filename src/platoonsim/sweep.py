@@ -106,7 +106,10 @@ def run_one(args: tuple[int, Scenario, tuple[int, float, float], tuple[tuple[str
 def run_sweep(base: Scenario, cfg: SweepConfig, workers: int = 1) -> list[RunSummary]:
     """One summary per grid point, in grid order. Every grid scenario is
     validated, in grid order, before the first run, so a sweep with an
-    invalid grid point raises its ScenarioError and runs nothing."""
+    invalid grid point raises its ScenarioError and runs nothing.
+
+    The pool starts min(workers, runs) processes, all of them at its first
+    submit; when that is 1 the runs go in-process."""
     scenarios = expand_sweep(base, cfg)
     for s in scenarios:
         diags = validate_scenario(s)
@@ -114,6 +117,7 @@ def run_sweep(base: Scenario, cfg: SweepConfig, workers: int = 1) -> list[RunSum
             raise ScenarioError(diags)
     axes = _axes_of(cfg)
     jobs = [(i, s, ax, ov) for i, (s, (ax, ov)) in enumerate(zip(scenarios, axes))]
+    workers = min(workers, len(jobs))
     if workers <= 1:
         return [run_one(job) for job in jobs]
     # Imported here: concurrent.futures pulls in multiprocessing, which every

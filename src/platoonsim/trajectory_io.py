@@ -3,13 +3,16 @@
 Every number is written as repr(float(x)), the shortest decimal that
 round-trips binary64, so identical runs produce byte-identical files on
 any platform. No timestamps, no locale formatting. The numeric tables are
-formatted a block of rows at a time by one %-format string, where %r of a
-Python float is its repr and %d of a branch code 0.0, 1.0 or 2.0 its digit.
+written by column: write_tables walks all of a command's tables together a
+block of rows at a time and formats each distinct column block (same dtype,
+same bytes) once, so a column that several tables of one command share,
+such as the time grid, is formatted once per block for all of them.
 """
 
 from __future__ import annotations
 
 import csv
+from contextlib import ExitStack
 
 import numpy as np
 
@@ -19,6 +22,10 @@ from .safety import CertReport, SafetyEnvelope
 
 __all__ = [
     "fmt",
+    "write_tables",
+    "trajectory_table",
+    "envelope_table",
+    "convergence_table",
     "write_trajectory_csv",
     "read_trajectory_csv",
     "write_cert_report_csv",
@@ -27,7 +34,7 @@ __all__ = [
 ]
 
 
-# Rows formatted at a time by _write_table.
+# Rows formatted at a time by write_tables.
 _ROWS_PER_CHUNK = 1000
 
 
@@ -44,29 +51,74 @@ def trajectory_header(n: int) -> list[str]:
     return cols
 
 
-def _write_table(path, header, values: np.ndarray, row: str) -> None:
-    """Write the header line, then each row of values by the format row.
+def write_tables(tables) -> None:
+    """Write each (path, header, columns) table: the header line, then one
+    row per index of its equal-length 1-D columns.
 
-    tolist() yields Python floats, whose %r is fmt's (the repr of a numpy
-    scalar is not), and no field needs CSV quoting; blocks bound the memory
-    of the converted rows.
+    The tables are walked together, _ROWS_PER_CHUNK rows at a time. A
+    column block is keyed by its dtype and bytes, not its values, so -0.0
+    and 0.0 never share a string. Its strings are made once per block, the
+    repr of each Python float (fmt's, where the repr of a numpy scalar is
+    not) or int (a branch code's digit), and held only while a later column
+    of the block has the same key. No field needs CSV quoting.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for r in range(0, len(values), _ROWS_PER_CHUNK):
-            block = values[r:r + _ROWS_PER_CHUNK]
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+    with ExitStack() as stack:
+        files = []
+        for path, header, _ in tables:
+            fh = stack.enter_context(open(path, "w", encoding="utf-8", newline=""))
+            fh.write(",".join(header) + "\n")
+            files.append(fh)
+        lengths = [len(cols[0]) for _, _, cols in tables]
+        for r in range(0, max(lengths, default=0), _ROWS_PER_CHUNK):
+            live = [(fh, [col[r:r + _ROWS_PER_CHUNK] for col in cols])
+                    for fh, m, (_, _, cols) in zip(files, lengths, tables) if r < m]
+            keys = [(b.dtype.str, b.tobytes()) for _, blocks in live for b in blocks]
+            last = {key: i for i, key in enumerate(keys)}
+            held = {}
+            i = 0
+            for fh, blocks in live:
+                strs = []
+                for b in blocks:
+                    key = keys[i]
+                    s = held.pop(key, None)
+                    if s is None:
+                        s = list(map(repr, b.tolist()))
+                    if last[key] > i:
+                        held[key] = s
+                    strs.append(s)
+                    i += 1
+                fh.write("\n".join(map(",".join, zip(*strs))) + "\n")
+
+
+def trajectory_table(traj: Trajectory, path):
+    """trajectory.csv's (path, header, columns) for write_tables."""
+    n = traj.n_vehicles
+    h = traj.headways()
+    cols = [traj.times]
+    for i in range(n):
+        cols += [traj.positions[:, i], traj.velocities[:, i]]
+    cols += [h[:, i] for i in range(n - 1)]
+    cols += [traj.branches[:, i] for i in range(n - 1)]
+    return path, trajectory_header(n), cols
+
+
+def envelope_table(traj: Trajectory, env: SafetyEnvelope, path, follower: int = 1):
+    """Plot-ready columns t, v, V_lo, V_hi, h, h_hi for one pair."""
+    t = traj.times
+    cols = [t, traj.velocities[:, follower], env.V_lo(t), env.V_hi(t),
+            traj.positions[:, follower - 1] - traj.positions[:, follower], env.h_hi(t)]
+    return path, ["t", "v", "V_lo", "V_hi", "h", "h_hi"], cols
+
+
+def convergence_table(table: ConvergenceTable, path):
+    """convergence.csv's (path, header, columns): eps, sup_distance."""
+    cols = [np.array([row.eps for row in table.rows], dtype=float),
+            np.array([row.sup_distance for row in table.rows], dtype=float)]
+    return path, ["eps", "sup_distance"], cols
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    n = traj.n_vehicles
-    values = np.empty((traj.n_points, 4 * n - 1))
-    values[:, 0] = traj.times
-    values[:, 1:2 * n + 1:2] = traj.positions
-    values[:, 2:2 * n + 1:2] = traj.velocities
-    values[:, 2 * n + 1:3 * n] = traj.headways()
-    values[:, 3 * n:] = traj.branches
-    _write_table(path, trajectory_header(n), values, ",".join(["%r"] * (3 * n) + ["%d"] * (n - 1)) + "\n")
+    write_tables([trajectory_table(traj, path)])
 
 
 def read_trajectory_csv(path) -> Trajectory:
@@ -118,14 +170,10 @@ def write_cert_report_csv(report: CertReport, path) -> None:
 
 
 def write_convergence_csv(table: ConvergenceTable, path) -> None:
-    values = np.array([(row.eps, row.sup_distance) for row in table.rows], dtype=float)
-    _write_table(path, ["eps", "sup_distance"], values, "%r,%r\n")
+    write_tables([convergence_table(table, path)])
 
 
 def write_envelope_csv(traj: Trajectory, env: SafetyEnvelope, path,
                        follower: int = 1) -> None:
     """Plot-ready columns t, v, V_lo, V_hi, h, h_hi for one pair."""
-    t = traj.times
-    cols = (t, traj.velocities[:, follower], env.V_lo(t), env.V_hi(t),
-            traj.positions[:, follower - 1] - traj.positions[:, follower], env.h_hi(t))
-    _write_table(path, ["t", "v", "V_lo", "V_hi", "h", "h_hi"], np.column_stack(cols), "%r,%r,%r,%r,%r,%r\n")
+    write_tables([envelope_table(traj, env, path, follower)])

@@ -46,6 +46,36 @@ velocities = 0, 1
 """
 
 
+# A step far too coarse for the gains: the min-type law's first follower
+# leaves the speed box and trips the guard.
+GUARD_CFG = """\
+[params]
+model_kind = proposed
+k_v = 1.0
+k_d = 0.2
+k = 0.3
+tau_s = 1.4
+v_bar = 2.0
+u_min = 0.1
+u_max = 1.95
+T = 100.0
+
+[initial]
+positions = 1000, 0
+velocities = 1, 0
+
+[leader]
+v0 = 1.0
+profile = 0 100 const 0.0
+
+[controls]
+u = 0 100 const 1.9
+
+[stepper]
+dt = 13.0
+"""
+
+
 def run(*argv):
     return main(list(argv))
 
@@ -395,6 +425,54 @@ class TestPerturb:
         code = run("perturb", "--preset", "fig4", "--out", str(tmp_path))
         assert code == 3
         assert "[perturbation]" in capsys.readouterr().err
+
+
+_COMPARE_FILES = ["cacc.csv", "manifest.json", "ovfl.csv", "proposed.csv", "summary.csv"]
+
+
+class TestOutputFiles:
+    """Every exit code of a command comes with the same file set."""
+
+    CONFIGS = {
+        "guard": GUARD_CFG,
+        # perturbations far below an ulp of the leader's speed: every
+        # distance is 0, so the three smallest do not decrease
+        "tiny_eps": preset_text("fig5").replace("eps = 1, 0.5, 0.1, 0.05, 0.01",
+                                                "eps = 1e-300, 1e-301, 1e-302"),
+    }
+
+    @pytest.mark.parametrize("command, source, code, files", [
+        ("envelope", "--preset fig4", 0,
+         ["certification.csv", "envelope.csv", "manifest.json", "trajectory.csv"]),
+        ("envelope", "--preset fig4 --dt 2", 2, ["manifest.json", "trajectory.csv"]),
+        ("envelope", "guard", 4, ["manifest.json", "trajectory.csv"]),
+        ("compare", "--preset fig1_right", 0, _COMPARE_FILES),
+        ("compare", "--preset fig4 --dt 2", 2, _COMPARE_FILES),
+        ("compare", "guard", 4, _COMPARE_FILES),
+        ("perturb", "--preset fig5 --dt 8", 2, None),
+        ("perturb", "tiny_eps", 6, ["convergence.csv", "manifest.json", "trajectory_eps_1e-300.csv",
+                                    "trajectory_eps_1e-301.csv", "trajectory_eps_1e-302.csv"]),
+    ])
+    def test_file_set_of_each_exit_code(self, tmp_path, capsys, command, source, code, files):
+        argv = source.split()
+        if source in self.CONFIGS:
+            (tmp_path / "c.ini").write_text(self.CONFIGS[source], encoding="utf-8")
+            argv = ["--config", str(tmp_path / "c.ini")]
+        out = tmp_path / "o"
+        assert run(command, *argv, "--out", str(out)) == code
+        assert (sorted(p.name for p in out.iterdir()) if out.exists() else None) == files
+
+    def test_envelope_keeps_the_run_when_the_envelope_raises(self, tmp_path, capsys,
+                                                               monkeypatch):
+        def no_envelope(*args, **kwargs):
+            raise ValueError("no envelope")
+        monkeypatch.setattr(sys.modules["platoonsim.cli"], "build_envelope", no_envelope)
+        out = tmp_path / "o"
+        assert run("envelope", "--preset", "fig4", "--out", str(out)) == 3
+        assert "error: no envelope" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["trajectory.csv"]
+        assert run("simulate", "--preset", "fig4", "--out", str(tmp_path / "s")) == 0
+        assert (out / "trajectory.csv").read_bytes() == (tmp_path / "s" / "trajectory.csv").read_bytes()
 
 
 class TestSweep:

@@ -121,6 +121,37 @@ class TestRunSweep:
         b = run_sweep(small_cfg.scenario, small_cfg.sweep, workers=2)
         assert a == b
 
+    @pytest.mark.parametrize("points, workers, started",
+                             [(8, 1, None), (8, 3, 3), (8, 8, 8), (8, 10**6, 8), (1, 4, None)])
+    def test_pool_size_is_capped_by_the_grid(self, monkeypatch, points, workers, started):
+        """A grid starts at most one process per point, and none when that
+        is one; a fake pool records its size and maps in-process, so no
+        process starts here."""
+        import concurrent.futures
+
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        text = SMALL if points == 8 else SMALL.replace(
+            "n = 2, 3\nheadways = 1, 5\nvelocities = 0, 1", "n = 2\nheadways = 1\nvelocities = 0")
+        cfg = parse_config(text)
+        rows = run_sweep(cfg.scenario, cfg.sweep, workers=workers)
+        assert sizes == ([] if started is None else [started])
+        assert [r.index for r in rows] == list(range(points))
+
     def test_velocities_stay_in_box(self, small_cfg):
         rows = run_sweep(small_cfg.scenario, small_cfg.sweep, workers=1)
         v_bar = small_cfg.scenario.base_params.v_bar

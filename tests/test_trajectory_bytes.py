@@ -28,8 +28,9 @@ from platoonsim.cli import main
 from platoonsim.core import LeaderProfile
 from platoonsim.presets import preset_text
 from platoonsim.scenario_io import parse_profile
-from platoonsim.trajectory_io import (_ROWS_PER_CHUNK, fmt, trajectory_header,
-                                      write_envelope_csv, write_trajectory_csv)
+from platoonsim.trajectory_io import (_ROWS_PER_CHUNK, envelope_table, fmt, trajectory_header,
+                                      trajectory_table, write_envelope_csv, write_tables,
+                                      write_trajectory_csv)
 
 DIGESTS = {
     "fig1_left": "4c18b76fcfaa0777964e50f7be9ed10a6ee1edca083935337306897ba7b6cb79",
@@ -209,3 +210,50 @@ def test_block_writers_match_per_row_writers(case, tmp_path):
         write_envelope_csv(traj, env, tmp_path / "new_env.csv")
         _oracle_envelope_csv(traj, env, tmp_path / "old_env.csv")
         assert (tmp_path / "new_env.csv").read_bytes() == (tmp_path / "old_env.csv").read_bytes()
+
+
+def _signed_zeros_flipped(a):
+    """a with -0.0 and 0.0 swapped: equal to a as numbers, not as bytes."""
+    return np.where(a == 0.0, np.copysign(0.0, -np.copysign(1.0, a)), a)
+
+
+def test_one_pass_over_many_tables_matches_the_per_table_oracles(tmp_path):
+    """Six tables in one write_tables call, each byte-equal to its oracle.
+
+    b shares a's time and leader columns in the first block, and its x_1
+    holds a's x_1 with every signed zero flipped (a NaN-free column, so
+    equal as numbers): a writer that keyed blocks by value would print
+    one's -0.0 where the other holds 0.0. b's two followers share one
+    velocity column, and each envelope table shares t and three more
+    columns with its trajectory. c is one row shorter than a block, b one
+    block long and a one row longer.
+    """
+    m = _ROWS_PER_CHUNK
+    a, env_a = _synthetic(m + 1)
+    zeros = np.round(np.random.default_rng(0).standard_normal(m + 1))
+    positions = a.positions.copy()
+    positions[:, 1] = zeros
+    a = replace(a, positions=positions)
+    positions = positions[:m].copy()
+    positions[:, 1] = _signed_zeros_flipped(positions[:, 1])
+    velocities = a.velocities[:m].copy()
+    velocities[:, 2] = velocities[:, 1]
+    b = Trajectory(times=a.times[:m], positions=positions, velocities=velocities,
+                   branches=a.branches[:m])
+    env_b = SimpleNamespace(V_lo=lambda t: positions[:, 1], V_hi=lambda t: positions[:, 2],
+                            h_hi=lambda t: velocities[:, 2])
+    c, env_c = _synthetic(m - 1)
+    assert np.array_equal(b.positions[:, 1], a.positions[:m, 1])
+    assert b.positions[:, 1].tobytes() != a.positions[:m, 1].tobytes()
+    runs = {"a": (a, env_a), "b": (b, env_b), "c": (c, env_c)}
+    order = ["traj_b", "traj_a", "env_c", "env_a", "traj_c", "env_b"]
+    tables = [trajectory_table(runs[k[-1]][0], tmp_path / f"{k}.csv") if k.startswith("traj")
+              else envelope_table(*runs[k[-1]], tmp_path / f"{k}.csv") for k in order]
+    write_tables(tables)
+    for k in order:
+        traj, env = runs[k[-1]]
+        if k.startswith("traj"):
+            _oracle_trajectory_csv(traj, tmp_path / "oracle.csv")
+        else:
+            _oracle_envelope_csv(traj, env, tmp_path / "oracle.csv")
+        assert (tmp_path / f"{k}.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes(), k
