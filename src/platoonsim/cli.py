@@ -209,7 +209,7 @@ def cmd_compare(args) -> int:
         u_of_t = variant.controls[0]
         u = u_of_t.is_constant()
         if u is None:
-            u = [u_of_t.value(float(t)) for t in traj.times]
+            u = u_of_t.values(traj.times)
         in_band = abs(v - u) < 0.01
         t_band = fmt(traj.times[int(in_band.nonzero()[0][0])]) if in_band.any() else "-"
         summary_rows.append([

@@ -28,9 +28,10 @@ At the first step it cannot accept on its own, march hands back the last
 accepted node, and _advance takes that step again on the event path above,
 so every event is still located in one place; march then resumes at the
 block's next step. Every kernel reads the leader acceleration and the
-controls through one evaluator, _forcing: simulate tabulates them at each
-block's stage times once and march reads its steps' rows of that table,
-step builds its one row the same way, and deriv reads them at its one time.
+controls through one evaluator, _forcing: simulate tabulates them at the
+stage times of each chunk of _FORCING_ROWS grid steps at once, in numpy,
+and march reads its steps' rows of that table; step builds its one row the
+same way, and deriv reads them at its one time.
 simulate copies the accepted rows of each march call into the output array
 at once, and its branch signs once per stretch of steps that keep them.
 """
@@ -56,9 +57,13 @@ __all__ = ["SolveStatus", "SwitchEvent", "SolveStats", "SolveResult", "StepperCo
 # Cap on event refinements inside one regular step; past this the trial is
 # accepted as-is (defensive, not expected to bind).
 _MAX_EVENTS_PER_STEP = 64
-# Grid steps of one march block: simulate tabulates their forcing at once, and
-# the rows of each march call are copied into the output arrays together.
+# Grid steps of one march block: the rows of each march call are copied into
+# the output arrays together.
 _BLOCK_ROWS = 128
+# Grid steps whose forcing simulate tabulates at once, in one rows call: the
+# table of a time-varying run never holds more rows. No march block crosses
+# the end of a chunk.
+_FORCING_ROWS = 1024
 
 
 class SolveStatus(Enum):
@@ -202,12 +207,12 @@ def _kernel_source(body: str, box: bool) -> list[str]:
     march takes the regular steps k, ..., stop - 1 of grid from the accepted
     node (t, y) with derivative k1 and branch signs sg, each with step's
     lines, so y_end and f_end are step's bit for bit; it reads step k's
-    forcing from row k - k0 of table, the block's rows, and binds the names
-    of _MARCH_LOCALS it uses as locals on entry. The end pass runs
-    _march_checks, and a step that raises _Singular is not accepted. A
-    flagged step rebuilds the signs with _signs. It extends ys by each
-    accepted y_end and appends (k, signs) to ss for each accepted step k
-    whose signs differ from its predecessor's.
+    forcing from row k - k0 of table, the rows of the chunk from step k0,
+    and binds the names of _MARCH_LOCALS it uses as locals on entry. The
+    end pass runs _march_checks, and a step that raises _Singular is not
+    accepted. A flagged step rebuilds the signs with _signs. It extends ys
+    by each accepted y_end and appends (k, signs) to ss for each accepted
+    step k whose signs differ from its predecessor's.
     It returns (k, t, y, k1, sg): k is stop, or the first step that raised
     _Singular, left the speed box or flipped a branch, and (t, y, k1, sg)
     the last accepted node.
@@ -302,7 +307,7 @@ class _Engine:
     _Singular where a headway closes, the one collision signal.
 
     rows(t, ends) is _forcing's, the forcing rows of the steps from t to
-    each time of ends; simulate passes a block's rows to march as its table.
+    each time of ends; simulate passes a chunk's rows to march as its table.
     """
 
     def __init__(self, s: Scenario):
@@ -336,11 +341,14 @@ def _forcing(accel, controls):
 
     at(ts) is ([a_l], [us]) at the times ts: each varying profile goes
     through its values once per call, and a constant profile is its
-    constant. rows(t, ends) has one row (a_l_2, us_2, a_l_4, us_4, a_l_e,
-    us_e) per step from t to each time of ends in turn: the forcing at the
-    step's t + h/2, t + h and t_end, with h = t_end - t as step computes it
-    and t_end evaluated only where it is not t + h. All-constant forcing
-    gives one shared row and computes no times.
+    constant. rows(t, ends) has one row (a_l_2, us_2, a_l_4,
+    us_4, a_l_e, us_e) per step from t to each time of ends in turn: the
+    forcing at the step's t + h/2, t + h and t_end, with h = t_end - t as
+    step computes it and t_end evaluated only where it is not t + h. rows
+    applies that rule to all of ends at once, as array arithmetic on the
+    grid, and makes one at call for the chunk: its times are every step's
+    t + h/2, then every t + h, then the t_end that differ. All-constant
+    forcing gives one shared row and computes no times.
     """
     a_fixed = accel.is_constant()
     u_fixed = [u.is_constant() for u in controls]
@@ -358,19 +366,18 @@ def _forcing(accel, controls):
     def rows(t: float, ends) -> list[tuple]:
         if fixed:
             return [row] * len(ends)
-        ts, firsts = [], []
-        for t_end in ends:
-            h = t_end - t
-            t_4 = t + h
-            firsts.append(len(ts))
-            ts += (t + 0.5 * h, t_4)
-            if t_end != t_4:
-                ts.append(t_end)
-            t = t_end
-        firsts.append(len(ts))
-        a, us = at(ts)
-        return [(a[i], us[i], a[i + 1], us[i + 1], a[e - 1], us[e - 1])
-                for i, e in zip(firsts, firsts[1:])]
+        ends = np.asarray(ends, dtype=float)
+        m = len(ends)
+        starts = np.empty(m)
+        starts[0], starts[1:] = t, ends[:-1]
+        h = ends - starts
+        t_4 = starts + h
+        late = np.flatnonzero(ends != t_4).tolist()
+        a, us = at(np.concatenate((starts + 0.5 * h, t_4, ends[late])))
+        a_e, us_e = a[m:2 * m], us[m:2 * m]
+        for r, k in enumerate(late, 2 * m):
+            a_e[k], us_e[k] = a[r], us[r]
+        return list(zip(a[:m], us[:m], a[m:2 * m], us[m:2 * m], a_e, us_e))
 
     return at, rows
 
@@ -518,11 +525,20 @@ def rhs(s: Scenario, t: float, state: PlatoonState) -> list[float]:
         raise ValueError(f"headway ahead of follower {e.args[0]} is not positive") from None
 
 
+def _grid(s: Scenario) -> np.ndarray:
+    """time_grid as an array. i * dt is the same float whether i is an int
+    or a float, i being exact in binary64 below 2^53."""
+    n_steps = max(1, math.ceil(s.horizon / s.stepper.dt - 1e-9))
+    grid = np.arange(n_steps + 1, dtype=float)
+    grid *= s.stepper.dt
+    grid[n_steps] = s.horizon
+    return grid
+
+
 def time_grid(s: Scenario) -> list[float]:
     """simulate's output times for a run that reaches the horizon: i * dt,
     then the horizon itself as the last point."""
-    n_steps = max(1, math.ceil(s.horizon / s.stepper.dt - 1e-9))
-    return [i * s.stepper.dt for i in range(n_steps)] + [s.horizon]
+    return _grid(s).tolist()
 
 
 def trajectory_mismatches(s: Scenario, traj: Trajectory) -> list[str]:
@@ -569,7 +585,8 @@ def simulate(s: Scenario, *, validate: bool = True) -> SolveResult:
     eng = _Engine(s)
     run = _RunState(s.switch_tol, s.stepper.guard_tol if s.model_kind is ModelKind.PROPOSED else None)
     n = eng.n
-    grid = time_grid(s)
+    times = _grid(s)
+    grid = times.tolist()
     n_steps = len(grid) - 1
 
     size = eng.size
@@ -580,19 +597,21 @@ def simulate(s: Scenario, *, validate: bool = True) -> SolveResult:
     t = 0.0
     status = SolveStatus.COMPLETED
     collision = guard_violation = None
-    stopped_at: list[float] = []
     # Rows 0 .. k - 1 hold the accepted grid points; k is the next step.
     k = 1
     marched = 0  # steps march took, the trials it handed back included
+    stopped = 0  # 1 when row k holds the located stopping point
     try:
         f = eng.deriv(t, y)
         signs = _signs(eng.phi)
         Y[0], S[0] = y, signs
-        end = k  # the end of the current block: none yet
+        end = chunk = k  # the ends of the current block and forcing chunk: none yet
         while k <= n_steps:
+            if k == chunk:
+                k0, chunk = k, min(k + _FORCING_ROWS, n_steps + 1)
+                table = eng.rows(grid[k0 - 1], times[k0:chunk])
             if k == end:
-                k0, end = k, min(k + _BLOCK_ROWS, n_steps + 1)
-                table = eng.rows(grid[k0 - 1], grid[k0:end])
+                end = min(k + _BLOCK_ROWS, chunk)
             ys, ss = [], []
             S[k:end] = signs
             j, t, y, f, signs = eng.march(t, y, f, signs, grid, k, end, ys, ss, table, k0)
@@ -610,14 +629,14 @@ def simulate(s: Scenario, *, validate: bool = True) -> SolveResult:
     except _Stop as stop:
         status, collision, guard_violation = stop.status, stop.collision, stop.guard_violation
         if stop.t > t:
-            Y[k], S[k] = stop.y, _signs(eng.phi)
-            stopped_at = [stop.t]
+            Y[k], S[k], times[k] = stop.y, _signs(eng.phi), stop.t
+            stopped = 1
     except _Singular as e:
         # Initial state itself is infeasible; validation should have caught it.
         raise ValueError(f"headway ahead of follower {e.args[0]} is not positive") from None
 
-    times = np.array(grid[:k] + stopped_at)
-    rows = len(times)
+    rows = k + stopped
+    times = times[:rows]
     if eng.branches:
         codes = _CODE_OF_SIGN[S[:rows] + 1]
     else:

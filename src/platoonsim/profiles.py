@@ -32,6 +32,10 @@ _RAMP_SERIES = tuple((-1.0) ** n / math.factorial(n + 2) for n in range(9, -1, -
 # as 1.
 _NARROW_SINE = 1e-8
 
+# Times below which PiecewiseProfile.values evaluates one time at a time:
+# numpy's fixed cost per call is that of some 30 such evaluations.
+_FEW_TIMES = 32
+
 # Halvings of one segment after which an enclosure piece that is still
 # undecided is given up.
 _ENCLOSURE_DEPTH = 40
@@ -54,6 +58,22 @@ def exp_ramp_weight(x: np.ndarray) -> np.ndarray:
     return np.where(small, series, (np.expm1(-xl) + xl) / (xl * xl))
 
 
+def _segment_value(const, slope, sines, dt, sin):
+    """const + slope*dt + sum_j amp_j * sin(omega_j*dt + phase_j), term by
+    term in that order: a segment's formula, written once. dt and the
+    coefficients are floats for Segment.value (sin being math.sin) or arrays
+    of one element per time for PiecewiseProfile.values."""
+    v = const + slope * dt
+    for amp, omega, phase in sines:
+        v += amp * sin(omega * dt + phase)
+    return v
+
+
+def _sin_each(x: np.ndarray) -> np.ndarray:
+    """math.sin of each element: np.sin's bits depend on the numpy build."""
+    return np.fromiter(map(math.sin, x.tolist()), float, len(x))
+
+
 @dataclass(frozen=True)
 class Segment:
     """One piece of a profile, valid on [t0, t1).
@@ -68,11 +88,7 @@ class Segment:
     sines: tuple[tuple[float, float, float], ...] = ()
 
     def value(self, t: float) -> float:
-        dt = t - self.t0
-        v = self.const + self.slope * dt
-        for amp, omega, phase in self.sines:
-            v += amp * math.sin(omega * dt + phase)
-        return v
+        return _segment_value(self.const, self.slope, self.sines, t - self.t0, math.sin)
 
     def integral(self, a: float, b: float) -> float:
         """Exact integral over [a, b], which must lie inside [t0, t1].
@@ -151,6 +167,16 @@ class Segment:
         )
 
 
+def _profile_value(table: tuple, t: float) -> float:
+    """PiecewiseProfile.value at t, from the profile's _table."""
+    starts, segments, start, end, at_start, at_end = table
+    if t <= start:
+        return at_start
+    if t >= end:
+        return at_end
+    return segments[bisect_right(starts, t) - 1].value(t)
+
+
 @dataclass(frozen=True)
 class PiecewiseProfile:
     """A contiguous chain of segments defining a function of time.
@@ -202,39 +228,71 @@ class PiecewiseProfile:
     def value(self, t: float) -> float:
         """The profile at t, clamped to the end values outside [start, end].
 
-        One bisection in a cached table, then Segment.value. The table holds
-        only floats and segments, so the profile stays picklable for sweep
-        workers. The integrator evaluates profiles through values instead.
+        One bisection in a cached table, then Segment.value. The cached
+        tables hold only floats, segments and arrays, so the profile stays
+        picklable for sweep workers. The integrator evaluates profiles
+        through values instead.
         """
-        starts, segments, start, end, at_start, at_end = self._table
-        if t <= start:
-            return at_start
-        if t >= end:
-            return at_end
-        return segments[bisect_right(starts, t) - 1].value(t)
+        return _profile_value(self._table, t)
+
+    @cached_property
+    def _columns(self) -> tuple:
+        """The segment starts as an array, then by segment index the
+        coefficients of _segment_value: the const and slope columns and,
+        for each sine slot j, the (amp, omega, phase) columns, which hold
+        0.0 where a segment has j sines or fewer and are never read there.
+        Last, each segment's sine count, or None when all counts are equal."""
+        segs = self.segments
+        slots = max(len(seg.sines) for seg in segs)
+        sines = [[0.0] * (3 * slots) for _ in segs]
+        for row, seg in zip(sines, segs):
+            row[:3 * len(seg.sines)] = [c for sine in seg.sines for c in sine]
+        sines = np.array(sines, dtype=float).reshape(len(segs), slots, 3).transpose(1, 2, 0)
+        counts = np.array([len(seg.sines) for seg in segs])
+        return (np.array([seg.t0 for seg in segs], dtype=float),
+                np.array([seg.const for seg in segs], dtype=float),
+                np.array([seg.slope for seg in segs], dtype=float),
+                sines, None if (counts == slots).all() else counts)
 
     def values(self, ts) -> list[float]:
         """[self.value(t) for t in ts], bit for bit: the integrator's one
-        evaluator, for a march block's stage times, a step's or a time.
+        evaluator, for a chunk of march's stage times, a step's or a time.
 
-        It bisects only when t leaves the segment of the time before it, so
-        a sorted block costs one lookup per segment it meets, and calls that
-        segment's value.
+        Fewer than _FEW_TIMES times are evaluated one at a time, as value
+        does. More take array operations throughout, but for math.sin
+        (_sin_each): the end clamps, one np.searchsorted of the times inside
+        the span, and _segment_value on the coefficients gathered by segment
+        index, once for each sine count the times meet, so that no sine term
+        is added where a segment has none (-0.0 + 0.0 is 0.0). A call costs
+        O(len(ts) log(segments)), however many segments it does not meet.
         """
-        starts, segments, start, end, at_start, at_end = self._table
-        out = []
-        t0 = t1 = math.nan  # the segment in hand: none yet
-        for t in ts:
-            if t <= start:
-                out.append(at_start)
-            elif t >= end:
-                out.append(at_end)
-            else:
-                if not t0 <= t < t1:
-                    seg = segments[bisect_right(starts, t) - 1]
-                    t0, t1, value = seg.t0, seg.t1, seg.value
-                out.append(value(t))
-        return out
+        if len(ts) < _FEW_TIMES:
+            table = self._table
+            return [_profile_value(table, float(t)) for t in ts]
+        ts = np.asarray(ts, dtype=float)
+        starts, const, slope, sines, counts = self._columns
+        _, _, start, end, at_start, at_end = self._table
+        low, high = ts <= start, ts >= end
+        inside = ~(low | high)
+        out = np.empty(ts.shape)
+        out[low] = at_start
+        out[high] = at_end
+        t = ts[inside]
+        i = np.searchsorted(starts, t, side="right") - 1
+        dt = t - starts[i]
+        if counts is None:
+            groups = [(len(sines), slice(None))]
+        else:
+            c = counts[i]
+            groups = [(k, c == k) for k in range(len(sines) + 1)]
+        v = np.empty(len(t))
+        for k, sel in groups:
+            j = i[sel]
+            if len(j):
+                v[sel] = _segment_value(const[j], slope[j], [col[:, j] for col in sines[:k]],
+                                        dt[sel], _sin_each)
+        out[inside] = v
+        return out.tolist()
 
     def integrate(self, a: float, b: float) -> float:
         """Exact integral over [a, b] (clamped to the profile's span)."""

@@ -6,7 +6,8 @@ any platform. No timestamps, no locale formatting. The numeric tables are
 written by column: write_tables walks all of a command's tables together a
 block of rows at a time and formats each distinct column block (same dtype,
 same bytes) once, so a column that several tables of one command share,
-such as the time grid, is formatted once per block for all of them.
+such as the time grid, is formatted once per block for all of them, and
+a block that holds one value (bit for bit) formats it once.
 """
 
 from __future__ import annotations
@@ -60,7 +61,9 @@ def write_tables(tables) -> None:
     and 0.0 never share a string. Its strings are made once per block, the
     repr of each Python float (fmt's, where the repr of a numpy scalar is
     not) or int (a branch code's digit), and held only while a later column
-    of the block has the same key. No field needs CSV quoting.
+    of the block has the same key. A block whose bytes are one value
+    repeated, such as a constant leader speed or branch code, takes that
+    value's repr once. No field needs CSV quoting.
     """
     with ExitStack() as stack:
         files = []
@@ -82,7 +85,10 @@ def write_tables(tables) -> None:
                     key = keys[i]
                     s = held.pop(key, None)
                     if s is None:
-                        s = list(map(repr, b.tolist()))
+                        if key[1] == key[1][:b.itemsize] * len(b):
+                            s = [repr(b[:1].tolist()[0])] * len(b)
+                        else:
+                            s = list(map(repr, b.tolist()))
                     if last[key] > i:
                         held[key] = s
                     strs.append(s)

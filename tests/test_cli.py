@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from platoonsim import BranchFlag, convergence_study, load_preset, preset_text
+from platoonsim import BranchFlag, PiecewiseProfile, convergence_study, load_preset, preset_text
 from platoonsim import core
 from platoonsim import simulate
 from platoonsim.cli import main
@@ -252,6 +252,26 @@ class TestCompare:
         t_band = next(t for t, v in zip(traj.times.tolist(), traj.velocities[:, 1].tolist())
                       if abs(v - u.value(t)) < 0.01)
         assert got["proposed"] == fmt(t_band)
+
+    def test_summary_under_a_sine_control_is_the_per_time_values(self, tmp_path, monkeypatch):
+        """compare reads a time-varying control at every row through one
+        values call per law, and calls value at no time: summary.csv is
+        byte for byte the one that evaluating the profiles one time at a
+        time with value gives."""
+        cfg = tmp_path / "varying.ini"
+        cfg.write_text(preset_text("fig1_left").replace(
+            "u = 0 100 const 1.9", "u = 0 100 sin 0.9 0.3 0.2 0.0"), encoding="utf-8")
+        value = PiecewiseProfile.value
+        monkeypatch.setattr(PiecewiseProfile, "value", lambda p, t: pytest.fail("value called"))
+        assert run("compare", "--config", str(cfg), "--out", str(tmp_path / "values")) == 0
+        monkeypatch.setattr(PiecewiseProfile, "value", value)
+        monkeypatch.setattr(PiecewiseProfile, "values",
+                            lambda p, ts: [p.value(float(t)) for t in ts])
+        assert run("compare", "--config", str(cfg), "--out", str(tmp_path / "value")) == 0
+        summary = (tmp_path / "values" / "summary.csv").read_bytes()
+        assert summary == (tmp_path / "value" / "summary.csv").read_bytes()
+        bands = [row.split(b",")[-1] for row in summary.splitlines()[1:]]
+        assert len(bands) == 3 and b"-" not in bands
 
 
 class TestEnvelope:

@@ -804,12 +804,14 @@ def test_march_matches_the_event_path_under_time_varying_forcing(kind, monkeypat
 
 
 @pytest.mark.parametrize("kind", [ModelKind.PROPOSED, ModelKind.CACC])
-@pytest.mark.parametrize("event_step", [integrator._BLOCK_ROWS, integrator._BLOCK_ROWS + 1])
+@pytest.mark.parametrize("event_step", [integrator._BLOCK_ROWS, integrator._BLOCK_ROWS + 1,
+                                        integrator._FORCING_ROWS, integrator._FORCING_ROWS + 1])
 def test_a_switch_on_a_block_boundary_under_time_varying_forcing(kind, event_step, monkeypatch):
     """The first switch in the last step of march's first block or the first
-    step of its second, under time-varying forcing: after the handed-back
-    step march resumes at the block's next row, and the run is the event
-    path's bit for bit."""
+    step of its second, or in the last step of the first forcing chunk or
+    the first step of the second, under time-varying forcing: after the
+    handed-back step march resumes at the block's next row, and the run is
+    the event path's bit for bit."""
     t_event = simulate(_varying_platoon(kind), validate=False).stats.switch_events[0].time
     dt = t_event / (event_step - 0.5)
     s = _varying_platoon(kind, horizon=3.0 * t_event,
@@ -818,3 +820,73 @@ def test_a_switch_on_a_block_boundary_under_time_varying_forcing(kind, event_ste
     assert math.ceil(marched[3].switch_events[0].time / dt) == event_step
     _hand_back_every_step(monkeypatch)
     assert _run_bits(s) == marched
+
+
+def _row_bits(row) -> bytes:
+    """A forcing row's floats, leader and controls of each stage, as bytes."""
+    a_2, us_2, a_4, us_4, a_e, us_e = row
+    return np.array([a_2, *us_2, a_4, *us_4, a_e, *us_e], dtype=float).tobytes()
+
+
+def _assert_rows_match_one_step_rows(rows, t, ends, table) -> int:
+    """Each row of table = rows(t, ends) is rows(t, (t_end,))[0] of its step,
+    bit for bit; returns the number of steps whose t + h is not t_end."""
+    assert len(table) == len(ends)
+    late = 0
+    for t_end, row in zip(ends, table):
+        late += t + (t_end - t) != t_end
+        assert _row_bits(row) == _row_bits(rows(t, (t_end,))[0])
+        t = t_end
+    return late
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_chunked_forcing_tables_match_the_event_paths_rows(kind, monkeypatch):
+    """Each row of every forcing table simulate builds for march is the row
+    that step builds for itself, rows(t, (t_end,))[0], bit for bit, over
+    four chunks (dt = 0.037) of a time-varying leader and controls that end
+    inside the run, so their end clamps are read. No table holds more than
+    _FORCING_ROWS steps. On the dt grid t + h is t_end (Sterbenz: t_end <=
+    2t past the first step); see the next test for the steps where not."""
+    tables = []
+    init = integrator._Engine.__init__
+
+    def init_recording(eng, scenario):
+        init(eng, scenario)
+        rows = eng.rows
+        eng.rows = lambda t, ends: (tables.append((rows, t, list(ends), rows(t, ends)))
+                                    or tables[-1][3])
+
+    monkeypatch.setattr(integrator._Engine, "__init__", init_recording)
+    s = _varying_platoon(kind, horizon=120.0,
+                         stepper=replace(load_preset("fig1_left").scenario.stepper, dt=0.037))
+    res = simulate(s, validate=False)
+    assert res.stats.steps > 3 * integrator._FORCING_ROWS
+    assert len(tables) == 4
+    for rows, t, ends, table in tables:
+        assert len(ends) <= integrator._FORCING_ROWS
+        assert _assert_rows_match_one_step_rows(rows, t, ends, table) == 0
+
+
+def test_a_chunk_reads_the_forcing_at_t_end_where_t_plus_h_is_not_t_end():
+    """A chunk of steps that grow 2.5-fold, from 1e-300 to past the
+    profiles' end, so that t_end > 2t and t + h is often not t_end. The
+    leader steps between 0 and 1 between t + h and t_end of each such step,
+    so its end row differs from its t + h row exactly there; a control is a
+    sine. Every row is the one-step row, bit for bit."""
+    jitter = np.random.default_rng(19).uniform(1.0, 1.1, 760)
+    ends = (1e-300 * 2.5 ** np.arange(760) * jitter).tolist()
+    t, cuts = 0.0, []
+    for t_end in ends:
+        if t + (t_end - t) != t_end:
+            cuts.append(max(t + (t_end - t), t_end))
+        t = t_end
+    bounds = [0.0, *cuts, 100.0]
+    accel = PiecewiseProfile(tuple(Segment(a, b, const=float(i % 2))
+                                   for i, (a, b) in enumerate(zip(bounds, bounds[1:]))))
+    _, rows = integrator._forcing(accel, (parse_profile("0 100 sin 1.0 0.5 1.5 0.0"),))
+    assert ends[-1] > 100.0
+    table = rows(0.0, ends)
+    late = _assert_rows_match_one_step_rows(rows, 0.0, ends, table)
+    assert late == len(cuts) > 0
+    assert sum(a_4 != a_e for _, _, a_4, _, a_e, _ in table) == late

@@ -1,6 +1,7 @@
 """Piecewise profile primitives: evaluation, exact integrals, norms."""
 
 import math
+import random as random_module
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from platoonsim import (
     parse_profile,
     profile_from_table,
 )
-from platoonsim.profiles import exp_ramp_weight
+from platoonsim.profiles import _FEW_TIMES, exp_ramp_weight
 
 
 def ramp(t0, t1, start, end):
@@ -289,29 +290,53 @@ def _sine_profile(shapes, t0: float = 0.0) -> PiecewiseProfile:
     return PiecewiseProfile(tuple(segs))
 
 
+# Profiles that test_values_is_value_bit_for_bit checks beside its drawn
+# ones. "signed zeros": a sine-free segment whose value at t = -0.0 is
+# -0.0 + -0.0 * 1.0 = -0.0, beside a segment with a sine, so that a sine
+# term padded in with a zero amplitude would turn it into 0.0. "table": a
+# linear interpolation through 600 knots, so that values looks each time up
+# among 599 segments.
+_FIXED_PROFILES = {
+    "signed zeros": PiecewiseProfile((Segment(-1.0, 1.0, const=-0.0, slope=-0.0),
+                                      Segment(1.0, 2.0, sines=((1.0, 2.0, 0.5),)))),
+    "table": profile_from_table([(0.1 * i + 0.01 * math.cos(i), math.sin(i)) for i in range(600)]),
+}
+
+
 @given(st.lists(_sine_segments, min_size=1, max_size=4),
        st.none() | st.tuples(st.lists(_sine_segments, min_size=1, max_size=3),
                              st.floats(min_value=0.0, max_value=1.0),
                              st.floats(min_value=-0.4, max_value=0.4)),
-       st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=20), st.randoms())
+       st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=20), st.randoms(),
+       st.none())
+@example(shapes=[], perturbation=None, fracs=[0.3], random=random_module.Random(0),
+         fixed="signed zeros")
+@example(shapes=[], perturbation=None, fracs=[0.3], random=random_module.Random(0),
+         fixed="table")
 @settings(max_examples=80, deadline=None)
-def test_values_is_value_bit_for_bit(shapes, perturbation, fracs, random):
+def test_values_is_value_bit_for_bit(shapes, perturbation, fracs, random, fixed):
     """The block evaluator equals value at every time: on multi-segment
-    profiles with up to two sines per segment and on the sums a_l + eps g
-    that perturbed_scenario builds (g's cuts shifted against a_l's), at each
-    segment start and its neighbouring floats, at interior points, and
-    before the start and past the end; in sorted, reversed and shuffled
-    order, so that a segment is looked up again wherever t leaves it."""
-    p = _sine_profile(shapes)
+    profiles with up to two sines per segment, on the sums a_l + eps g
+    that perturbed_scenario builds (g's cuts shifted against a_l's) and on
+    _FIXED_PROFILES, at each segment start and its neighbouring floats, at
+    both signed zeros, at interior points, and before the start and past
+    the end; in sorted, reversed and shuffled order, so that consecutive
+    times meet segments in any order, and shuffled and repeated, so that
+    however few times there are, values takes them in array operations."""
+    p = _FIXED_PROFILES[fixed] if fixed else _sine_profile(shapes)
     if perturbation is not None:
         g_shapes, eps, shift = perturbation
         p = p + _sine_profile(g_shapes, shift).scaled(eps)
     cuts = [seg.t0 for seg in p.segments] + [p.end]
     ts = [u for t in cuts for u in (math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf))]
-    ts += [p.start - 1.0, p.end + 1.0] + [p.start + f * (p.end - p.start) for f in fracs]
+    ts += [-0.0, 0.0, p.start - 1.0, p.end + 1.0]
+    ts += [p.start + f * (p.end - p.start) for f in fracs]
     shuffled = random.sample(ts, len(ts))
-    for order in (sorted(ts), sorted(ts, reverse=True), shuffled):
+    repeats = -(-_FEW_TIMES // len(ts))
+    for order in (sorted(ts), sorted(ts, reverse=True), shuffled, shuffled * repeats):
         assert [v.hex() for v in p.values(order)] == [p.value(t).hex() for t in order]
+    if fixed == "signed zeros":
+        assert math.copysign(1.0, p.value(-0.0)) == -1.0
 
 
 @given(st.lists(_segment_shapes, min_size=1, max_size=3),

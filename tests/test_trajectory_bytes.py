@@ -257,3 +257,31 @@ def test_one_pass_over_many_tables_matches_the_per_table_oracles(tmp_path):
         else:
             _oracle_envelope_csv(traj, env, tmp_path / "oracle.csv")
         assert (tmp_path / f"{k}.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes(), k
+
+
+def test_constant_column_blocks_match_the_per_row_oracle(tmp_path):
+    """Blocks that hold one value, bit for bit, take its repr once: columns
+    of all 0.0, all -0.0 and all NaN, constant int8 branch codes, and
+    columns constant but for the last row of a block (a float and a branch
+    code) or of the run. Two columns hold one value as numbers but not as
+    bytes: 0.0 with every seventh row -0.0 (the time column), and NaNs
+    whose signs and payloads differ. The last block is one row long."""
+    m = 2 * _ROWS_PER_CHUNK + 1
+    nan = np.float64("nan")
+    odd_nans = np.full(m, nan)
+    odd_nans[1::3] = -nan
+    odd_nans.view(np.uint64)[2::3] |= 1
+    positions = np.stack([np.zeros(m), np.full(m, -0.0), np.full(m, nan)], axis=1)
+    velocities = np.stack([np.full(m, 1.5), odd_nans, np.full(m, 0.1)], axis=1)
+    velocities[_ROWS_PER_CHUNK - 1, 0] = 1.25
+    velocities[-1, 2] = 0.2
+    branches = np.stack([np.full(m, 2), np.full(m, 1)], axis=1).astype(np.int8)
+    branches[_ROWS_PER_CHUNK - 1, 1] = 0
+    times = np.zeros(m)
+    times[::7] = -0.0
+    traj = Trajectory(times=times, positions=positions, velocities=velocities,
+                      branches=branches)
+    write_trajectory_csv(traj, tmp_path / "new.csv")
+    _oracle_trajectory_csv(traj, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert b",-0.0," in (tmp_path / "new.csv").read_bytes()
