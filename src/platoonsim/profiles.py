@@ -32,10 +32,6 @@ _RAMP_SERIES = tuple((-1.0) ** n / math.factorial(n + 2) for n in range(9, -1, -
 # as 1.
 _NARROW_SINE = 1e-8
 
-# Times below which PiecewiseProfile.values evaluates one time at a time:
-# numpy's fixed cost per call is that of some 30 such evaluations.
-_FEW_TIMES = 32
-
 # Halvings of one segment after which an enclosure piece that is still
 # undecided is given up.
 _ENCLOSURE_DEPTH = 40
@@ -167,16 +163,6 @@ class Segment:
         )
 
 
-def _profile_value(table: tuple, t: float) -> float:
-    """PiecewiseProfile.value at t, from the profile's _table."""
-    starts, segments, start, end, at_start, at_end = table
-    if t <= start:
-        return at_start
-    if t >= end:
-        return at_end
-    return segments[bisect_right(starts, t) - 1].value(t)
-
-
 @dataclass(frozen=True)
 class PiecewiseProfile:
     """A contiguous chain of segments defining a function of time.
@@ -233,7 +219,12 @@ class PiecewiseProfile:
         picklable for sweep workers. The integrator evaluates profiles
         through values instead.
         """
-        return _profile_value(self._table, t)
+        starts, segments, start, end, at_start, at_end = self._table
+        if t <= start:
+            return at_start
+        if t >= end:
+            return at_end
+        return segments[bisect_right(starts, t) - 1].value(t)
 
     @cached_property
     def _columns(self) -> tuple:
@@ -258,17 +249,13 @@ class PiecewiseProfile:
         """[self.value(t) for t in ts], bit for bit: the integrator's one
         evaluator, for a chunk of march's stage times, a step's or a time.
 
-        Fewer than _FEW_TIMES times are evaluated one at a time, as value
-        does. More take array operations throughout, but for math.sin
-        (_sin_each): the end clamps, one np.searchsorted of the times inside
-        the span, and _segment_value on the coefficients gathered by segment
-        index, once for each sine count the times meet, so that no sine term
-        is added where a segment has none (-0.0 + 0.0 is 0.0). A call costs
+        Array operations throughout, but for math.sin (_sin_each): the end
+        clamps, one np.searchsorted of the times inside the span, and
+        _segment_value on the coefficients gathered by segment index, once
+        for each sine count the times meet, so that no sine term is added
+        where a segment has none (-0.0 + 0.0 is 0.0). A call costs
         O(len(ts) log(segments)), however many segments it does not meet.
         """
-        if len(ts) < _FEW_TIMES:
-            table = self._table
-            return [_profile_value(table, float(t)) for t in ts]
         ts = np.asarray(ts, dtype=float)
         starts, const, slope, sines, counts = self._columns
         _, _, start, end, at_start, at_end = self._table
