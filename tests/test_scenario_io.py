@@ -311,6 +311,120 @@ k_d = 0.1, 0.2
             parse_config(BASE + "\n[sweep]\nn = 2\nheadways = 1\n")
 
 
+PERTURB = "\n[perturbation]\ng = 0 100 const 0.01\neps = 0.1\n"
+SWEEP = "\n[sweep]\nn = 2\nheadways = 1\nvelocities = 0\n"
+CACC = swap("model_kind = proposed", "model_kind = cacc")
+GAINS = ("k_v", "k_d", "k", "tau_s", "v_bar", "u_min", "u_max")
+
+
+def without(text, *keys):
+    """text with the line of each named key removed."""
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if line.split(" = ")[0] not in keys)
+
+
+# Each config error's exact text, and which one wins when a file has several.
+CONFIG_ERRORS = {
+    # each required key of each section, missing
+    **{f"missing {key}": (without(BASE, key), f"[params] missing key: {key}")
+       for key in (*GAINS, "T")},
+    "missing model_kind": (without(BASE, "model_kind"),
+                           "[params] model_kind must be proposed|cacc|ovfl, got ''"),
+    **{f"missing {key}": (without(BASE, key), f"[initial] missing key: {key}")
+       for key in ("positions", "velocities")},
+    **{f"missing {key}": (without(BASE, key), f"[leader] missing key: {key}")
+       for key in ("v0", "profile")},
+    "missing u": (without(BASE, "u"), "[controls] missing key: u_1"),
+    **{f"missing perturbation {key}": (BASE + without(PERTURB, key),
+                                       f"[perturbation] missing key: {key}")
+       for key in ("g", "eps")},
+    **{f"missing sweep {key}": (BASE + without(SWEEP, key), f"[sweep] missing key: {key}")
+       for key in ("n", "headways", "velocities")},
+    # several missing: the first in the section's key order
+    "missing T, k_d, u_max": (without(BASE, "T", "k_d", "u_max"), "[params] missing key: k_d"),
+    "missing velocities, positions": (without(BASE, "velocities", "positions"),
+                                      "[initial] missing key: positions"),
+    "missing profile, v0": (without(BASE, "profile", "v0"), "[leader] missing key: v0"),
+    "missing eps, g": (BASE + without(PERTURB, "eps", "g"), "[perturbation] missing key: g"),
+    "missing velocities, n": (BASE + without(SWEEP, "velocities", "n"),
+                              "[sweep] missing key: n"),
+    "missing T and positions": (without(BASE, "T", "positions"), "[params] missing key: T"),
+    # an unknown key wins over a missing one
+    "unknown before missing params": (
+        without(swap("T = 100.0", "T = 100.0\nmass = 1.0"), "k"), "[params] unknown key: mass"),
+    "unknown before missing initial": (
+        without(swap("velocities = 1, 0", "velocities = 1, 0\nheadings = 0, 0"), "positions"),
+        "[initial] unknown key: headings"),
+    "unknown before missing leader": (
+        without(swap("v0 = 1.0", "v0 = 1.0\nx0 = 5"), "profile"), "[leader] unknown key: x0"),
+    "unknown before missing perturbation": (
+        BASE + without(PERTURB + "seed = 1\n", "g"), "[perturbation] unknown key: seed"),
+    "unknown before missing sweep": (
+        BASE + without(SWEEP + "dt = 0.1\n", "n"), "[sweep] unknown key: dt"),
+    "guard_tol is no stepper key": (BASE + "\n[stepper]\nguard_tol = 1e-6\n",
+                                    "[stepper] unknown key: guard_tol"),
+    "model_kind before unknown": (swap("model_kind = proposed", "model_kind = idm\nmass = 1"),
+                                  "[params] model_kind must be proposed|cacc|ovfl, got 'idm'"),
+    # a CACC key under model_kind = proposed
+    **{f"{key} under proposed": (swap("T = 100.0", f"T = 100.0\n{key} = 2.0"),
+                                 f"[params] unknown key: {key}")
+       for key in ("k_a", "d", "d_l")},
+    # several bad values: the first in parse order
+    "bad tau_s, k_d": (swap("k_d = 0.2", "k_d = bad", swap("tau_s = 1.4", "tau_s = x")),
+                       "[params] k_d: not a number: 'bad'"),
+    "bad k, T": (swap("k = 0.3", "k = x", swap("T = 100.0", "T = y")),
+                 "[params] k: not a number: 'x'"),
+    "bad T, k_a": (swap("T = 100.0", "T = oops\nk_a = bad", CACC),
+                   "[params] T: not a number: 'oops'"),
+    "bad d_l, k_a": (swap("T = 100.0", "T = 100.0\nd_l = x\nk_a = y", CACC),
+                     "[params] k_a: not a number: 'y'"),
+    "empty positions": (swap("positions = 5, 0", "positions = ,"),
+                        "[initial] positions: empty list"),
+    "bad velocities, positions": (
+        swap("velocities = 1, 0", "velocities = a, 0", swap("positions = 5, 0", "positions = b")),
+        "[initial] positions: not a number: 'b'"),
+    "bad v0, profile": (swap("v0 = 1.0", "v0 = fast", swap("profile = 0 100 const 0.0",
+                                                           "profile = 0 100 spline 1")),
+                        "[leader] profile: unknown segment kind 'spline'"),
+    "bad params and controls": (swap("u = 0 100 const 1.9", "u = x", swap("k_v = 1.0", "k_v = x")),
+                                "[params] k_v: not a number: 'x'"),
+    "bad dt, switch_tol": (BASE + "\n[stepper]\nswitch_tol = a\ndt = b\n",
+                           "[stepper] dt: not a number: 'b'"),
+    "bad stepper and perturbation": (BASE + "\n[stepper]\ndt = b\n" + swap("eps = 0.1", "eps = x",
+                                                                          PERTURB),
+                                     "[stepper] dt: not a number: 'b'"),
+    "bad eps, g": (BASE + swap("eps = 0.1", "eps = x", swap("const 0.01", "const y", PERTURB)),
+                   "[[perturbation] g] const: not a number: 'y'"),
+    "bad normalize, strict": (BASE + PERTURB + "normalize = n\nstrict = maybe\n",
+                              "[perturbation] strict: not a boolean: 'maybe'"),
+    "negative eps, bad strict": (BASE + swap("eps = 0.1", "eps = -1", PERTURB) + "strict = maybe\n",
+                                 "[perturbation] strict: not a boolean: 'maybe'"),
+    "bad perturbation and sweep": (BASE + swap("eps = 0.1", "eps = x", PERTURB)
+                                   + swap("n = 2", "n = x", SWEEP),
+                                   "[perturbation] eps: not a number: 'x'"),
+    "bad k_d grid, headways": (BASE + swap("headways = 1", "headways = oops", SWEEP) + "k_d = bad\n",
+                               "[sweep] k_d: not a number: 'bad'"),
+    "bad tau_s, k_v grids": (BASE + SWEEP + "tau_s = x\nk_v = y\n",
+                             "[sweep] k_v: not a number: 'y'"),
+    "bad n, k_d grid": (BASE + swap("n = 2", "n = two", SWEEP) + "k_d = bad\n",
+                        "[sweep] n: not an integer: 'two'"),
+    "n out of range, bad k_d grid": (BASE + swap("n = 2", "n = 1", SWEEP) + "k_d = bad\n",
+                                     "[sweep] n must be in [2, 64], got 1"),
+    "empty n": (BASE + swap("n = 2", "n = ,", SWEEP), "[sweep] n: empty list"),
+    "bad velocities, headways": (BASE + swap("headways = 1", "headways = a",
+                                             swap("velocities = 0", "velocities = b", SWEEP)),
+                                 "[sweep] headways: not a number: 'a'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
+def test_config_error_is_pinned(case):
+    text, message = CONFIG_ERRORS[case]
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value) == message
+
+
 class TestLoadConfig:
     def test_roundtrip_through_file(self, tmp_path):
         path = tmp_path / "scenario.ini"
