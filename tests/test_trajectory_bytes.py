@@ -143,6 +143,36 @@ def test_command_csv_bytes_are_pinned(case, tmp_path, capsys, fig5_guard_trip_te
             for name in digests} == digests
 
 
+# manifest.json of each command, whole: the resolved scenario (the cacc
+# constants, the stepper defaults, the profile segments) and the run's record.
+MANIFEST_DIGESTS = {
+    "simulate fig1_left_cacc": (0, "e6857b746e93991540c72045fa2013400aa907ab7e975c2cde3723fe932cd0a8"),
+    "perturb fig5": (0, "6c4151c5dcb3b6740c0339232671f3da6fbade962323eda736e6f493a6159a52"),
+    "envelope fig4": (0, "90ecf9da221f6d8f158f0b4341b6a5832170d49c762163b2320a13c317820a3a"),
+    "sweep k_d_grid": (0, "dd4a379ba782c972cf13ad568bca86263b977da1fde9764419efb86eb9aecc54"),
+}
+
+
+def _k_d_grid_text():
+    """sweep_demo at T = 10 over n = 2, two headways and a k_d grid."""
+    text = preset_text("sweep_demo").replace("T = 100.0", "T = 10.0")
+    return (text[:text.index("[sweep]")]
+            + "[sweep]\nn = 2\nheadways = 1, 5\nvelocities = 1\nk_d = 0.1, 0.2\n")
+
+
+@pytest.mark.parametrize("case", sorted(MANIFEST_DIGESTS))
+def test_manifest_bytes_are_pinned(case, tmp_path, capsys):
+    command, name = case.split()
+    source = ["--preset", name]
+    if name == "k_d_grid":
+        (tmp_path / "grid.ini").write_text(_k_d_grid_text(), encoding="utf-8")
+        source = ["--config", str(tmp_path / "grid.ini")]
+    out = tmp_path / "out"
+    code, digest = MANIFEST_DIGESTS[case]
+    assert main([command, *source, "--out", str(out)]) == code
+    assert hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest() == digest
+
+
 def _oracle_trajectory_csv(traj, path):
     """The per-row writer: one join of reprs and branch digits per row."""
     n = traj.n_vehicles
