@@ -3,14 +3,18 @@
 Sections and keys:
 
 [params]    model_kind, k_v, k_d, k, tau_s, v_bar, u_min, u_max, T
-            (cacc only, optional: k_a, d, d_l)
+            (cacc only, optional: k_a, d, d_l, each 1.0 by default)
 [initial]   positions, velocities  (comma lists, front vehicle first)
 [leader]    v0, profile
 [controls]  u  (every follower)  -- or u_1, u_2, ... per follower
-[stepper]   dt, switch_tol  (both optional)
-[perturbation]  g, eps, strict, normalize  (optional section)
+[stepper]   dt, switch_tol  (optional: 0.01 and 1e-9 * T by default)
+[perturbation]  g, eps, strict, normalize  (optional section; strict is
+            true and normalize false by default)
 [sweep]     n, headways, velocities, plus any [params] gain as a list
             (optional section)
+
+The gain and CACC keys are the fields of ModelParams and CaccParams, in
+field order, and an absent optional key keeps its dataclass default.
 
 A profile value is one or more segment clauses separated by '|' or
 newlines. Clauses:
@@ -24,17 +28,17 @@ newlines. Clauses:
 sin evaluates offset + amplitude*sin(omega*(t - t0) + phase); wave adds a
 slope*(t - t0) ramp on top.
 
-Unknown sections or keys are errors, as are malformed numbers. Physical
-validity (positive gains, headways, span coverage) is judged separately by
-validate_scenario, so a file can parse cleanly and still be rejected with
-diagnostics.
+Unknown sections or keys are errors, as are malformed numbers and
+non-finite numbers in a profile. Physical validity (positive gains,
+headways, span coverage) is judged separately by validate_scenario, so a
+file can parse cleanly and still be rejected with diagnostics.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .core import (
     CaccParams,
@@ -61,9 +65,8 @@ __all__ = [
     "profile_segments_dict",
 ]
 
-_PARAM_KEYS = ("model_kind", "k_v", "k_d", "k", "tau_s", "v_bar", "u_min", "u_max", "T")
-_CACC_KEYS = ("k_a", "d", "d_l")
-_SWEEP_GRID_KEYS = ("k_v", "k_d", "k", "tau_s", "v_bar", "u_min", "u_max")
+_GAIN_KEYS = tuple(f.name for f in fields(ModelParams))
+_CACC_KEYS = tuple(f.name for f in fields(CaccParams))[1:]  # the fields after base
 SWEEP_N_CAP = 64
 
 
@@ -117,33 +120,25 @@ class ParsedConfig:
     sweep: SweepConfig | None = None
 
 
-def _float(section: str, key: str, text: str) -> float:
+def _number(section: str, key: str, text: str, parse=float):
+    """text read by parse, float or int."""
     try:
-        return float(text)
+        return parse(text)
     except ValueError:
-        raise ConfigError(f"[{section}] {key}: not a number: {text!r}") from None
+        what = "an integer" if parse is int else "a number"
+        raise ConfigError(f"[{section}] {key}: not {what}: {text!r}") from None
 
 
-def _float_list(section: str, key: str, text: str) -> tuple[float, ...]:
+def _list(section: str, key: str, text: str, parse=float) -> tuple:
     items = [p.strip() for p in text.split(",") if p.strip()]
     if not items:
         raise ConfigError(f"[{section}] {key}: empty list")
-    return tuple(_float(section, key, p) for p in items)
+    return tuple(_number(section, key, p, parse) for p in items)
 
 
-def _int_list(section: str, key: str, text: str) -> tuple[int, ...]:
-    out = []
-    for p in text.split(","):
-        p = p.strip()
-        if not p:
-            continue
-        try:
-            out.append(int(p))
-        except ValueError:
-            raise ConfigError(f"[{section}] {key}: not an integer: {p!r}") from None
-    if not out:
-        raise ConfigError(f"[{section}] {key}: empty list")
-    return tuple(out)
+def _floats(section: str, sec, keys) -> dict[str, float]:
+    """Those of keys that sec holds, read in the order of keys."""
+    return {key: _number(section, key, sec[key]) for key in keys if key in sec}
 
 
 def _bool(section: str, key: str, text: str) -> bool:
@@ -153,6 +148,11 @@ def _bool(section: str, key: str, text: str) -> bool:
     if t in ("false", "no", "off", "0"):
         return False
     raise ConfigError(f"[{section}] {key}: not a boolean: {text!r}")
+
+
+def _refuse_non_finite(where: str, clause: str, numbers) -> None:
+    if not all(map(math.isfinite, numbers)):
+        raise ConfigError(f"{where}: non-finite number in clause {clause!r}")
 
 
 def parse_profile(text: str, where: str = "profile") -> PiecewiseProfile:
@@ -170,7 +170,8 @@ def parse_profile(text: str, where: str = "profile") -> PiecewiseProfile:
                 if ":" not in tok:
                     raise ConfigError(f"{where}: table knot {tok!r} is not t:value")
                 ts, vs = tok.split(":", 1)
-                knots.append((_float(where, "table", ts), _float(where, "table", vs)))
+                knots.append((_number(where, "table", ts), _number(where, "table", vs)))
+            _refuse_non_finite(where, clause, [x for knot in knots for x in knot])
             try:
                 segments.extend(profile_from_table(knots).segments)
             except ValueError as e:
@@ -178,10 +179,11 @@ def parse_profile(text: str, where: str = "profile") -> PiecewiseProfile:
             continue
         if len(tokens) < 3:
             raise ConfigError(f"{where}: malformed clause {clause!r}")
-        t0 = _float(where, "t0", tokens[0])
-        t1 = _float(where, "t1", tokens[1])
+        t0 = _number(where, "t0", tokens[0])
+        t1 = _number(where, "t1", tokens[1])
         kind = tokens[2]
-        args = [_float(where, kind, a) for a in tokens[3:]]
+        args = [_number(where, kind, a) for a in tokens[3:]]
+        _refuse_non_finite(where, clause, (t0, t1, *args))
         if kind == "const":
             if len(args) != 1:
                 raise ConfigError(f"{where}: const needs 1 value, got {len(args)}")
@@ -231,15 +233,17 @@ def profile_to_text(p: PiecewiseProfile) -> str:
     return " | ".join(clauses)
 
 
-def _check_keys(section: str, present, allowed, pattern_prefix: str | None = None):
-    for key in present:
-        if key in allowed:
-            continue
-        if pattern_prefix is not None and key.startswith(pattern_prefix):
-            suffix = key[len(pattern_prefix):]
-            if suffix.isdigit() and int(suffix) >= 1:
-                continue
-        raise ConfigError(f"[{section}] unknown key: {key}")
+def _section(cp, name: str, required, optional=()):
+    """cp's section name, after refusing its unknown keys, then its missing ones."""
+    sec = cp[name]
+    allowed = {*required, *optional}
+    for key in sec:
+        if key not in allowed:
+            raise ConfigError(f"[{name}] unknown key: {key}")
+    for key in required:
+        if key not in sec:
+            raise ConfigError(f"[{name}] missing key: {key}")
+    return sec
 
 
 def parse_config(text: str) -> ParsedConfig:
@@ -262,62 +266,37 @@ def parse_config(text: str) -> ParsedConfig:
             raise ConfigError(f"missing section: [{required}]")
 
     # [params]
-    psec = cp["params"]
-    kind_text = psec.get("model_kind", "").strip().lower()
+    kind_text = cp["params"].get("model_kind", "").strip().lower()
     try:
         kind = ModelKind(kind_text)
     except ValueError:
         raise ConfigError(f"[params] model_kind must be proposed|cacc|ovfl, got {kind_text!r}") from None
-    allowed = set(_PARAM_KEYS) | (set(_CACC_KEYS) if kind is ModelKind.CACC else set())
-    _check_keys("params", psec.keys(), allowed)
-    for key in ("model_kind", "k_v", "k_d", "k", "tau_s", "v_bar", "u_min", "u_max", "T"):
-        if key not in psec:
-            raise ConfigError(f"[params] missing key: {key}")
-    base = ModelParams(
-        k_v=_float("params", "k_v", psec["k_v"]),
-        k_d=_float("params", "k_d", psec["k_d"]),
-        k=_float("params", "k", psec["k"]),
-        tau_s=_float("params", "tau_s", psec["tau_s"]),
-        v_bar=_float("params", "v_bar", psec["v_bar"]),
-        u_min=_float("params", "u_min", psec["u_min"]),
-        u_max=_float("params", "u_max", psec["u_max"]),
-    )
-    horizon = _float("params", "T", psec["T"])
-    if kind is ModelKind.CACC:
-        params = CaccParams(
-            base,
-            k_a=_float("params", "k_a", psec.get("k_a", "1.0")),
-            d=_float("params", "d", psec.get("d", "1.0")),
-            d_l=_float("params", "d_l", psec.get("d_l", "1.0")),
-        )
-    else:
-        params = base
+    cacc = kind is ModelKind.CACC
+    psec = _section(cp, "params", ("model_kind", *_GAIN_KEYS, "T"), _CACC_KEYS if cacc else ())
+    params = ModelParams(**_floats("params", psec, _GAIN_KEYS))
+    horizon = _number("params", "T", psec["T"])
+    if cacc:
+        params = CaccParams(params, **_floats("params", psec, _CACC_KEYS))
 
     # [initial]
-    isec = cp["initial"]
-    _check_keys("initial", isec.keys(), {"positions", "velocities"})
-    for key in ("positions", "velocities"):
-        if key not in isec:
-            raise ConfigError(f"[initial] missing key: {key}")
-    xs = _float_list("initial", "positions", isec["positions"])
-    vs = _float_list("initial", "velocities", isec["velocities"])
+    isec = _section(cp, "initial", ("positions", "velocities"))
+    xs = _list("initial", "positions", isec["positions"])
+    vs = _list("initial", "velocities", isec["velocities"])
     if len(xs) != len(vs):
         raise ConfigError(
             f"[initial] {len(xs)} positions vs {len(vs)} velocities")
     initial = PlatoonState(tuple(VehicleState(x, v) for x, v in zip(xs, vs)))
 
     # [leader]
-    lsec = cp["leader"]
-    _check_keys("leader", lsec.keys(), {"v0", "profile"})
-    for key in ("v0", "profile"):
-        if key not in lsec:
-            raise ConfigError(f"[leader] missing key: {key}")
+    lsec = _section(cp, "leader", ("v0", "profile"))
     leader = LeaderProfile(parse_profile(lsec["profile"], "[leader] profile"),
-                           _float("leader", "v0", lsec["v0"]))
+                           _number("leader", "v0", lsec["v0"]))
 
-    # [controls]
+    # [controls]: u for every follower, or u_1, u_2, ... one each
     csec = cp["controls"]
-    _check_keys("controls", csec.keys(), {"u"}, pattern_prefix="u_")
+    for key in csec:
+        if key != "u" and not (key[:2] == "u_" and key[2:].isdigit() and int(key[2:]) >= 1):
+            raise ConfigError(f"[controls] unknown key: {key}")
     n_followers = max(len(xs) - 1, 0)
     if "u" in csec:
         extra = [k for k in csec.keys() if k != "u"]
@@ -337,17 +316,9 @@ def parse_config(text: str) -> ParsedConfig:
             raise ConfigError(f"[controls] keys beyond follower count: {sorted(extra)}")
         controls = tuple(controls)
 
-    # [stepper]
-    dt = 1e-2
-    switch_tol = None
-    if cp.has_section("stepper"):
-        ssec = cp["stepper"]
-        _check_keys("stepper", ssec.keys(), {"dt", "switch_tol"})
-        if "dt" in ssec:
-            dt = _float("stepper", "dt", ssec["dt"])
-        if "switch_tol" in ssec:
-            switch_tol = _float("stepper", "switch_tol", ssec["switch_tol"])
-    stepper = StepperConfig(dt=dt, switch_tol=switch_tol)
+    # [stepper]: guard_tol is a StepperConfig field but no config key
+    ssec = _section(cp, "stepper", (), ("dt", "switch_tol")) if cp.has_section("stepper") else {}
+    stepper = StepperConfig(**_floats("stepper", ssec, ("dt", "switch_tol")))
 
     scenario = Scenario(params=params, model_kind=kind, initial=initial,
                         leader=leader, controls=controls, horizon=horizon,
@@ -355,17 +326,12 @@ def parse_config(text: str) -> ParsedConfig:
 
     perturbation = None
     if cp.has_section("perturbation"):
-        qsec = cp["perturbation"]
-        _check_keys("perturbation", qsec.keys(), {"g", "eps", "strict", "normalize"})
-        for key in ("g", "eps"):
-            if key not in qsec:
-                raise ConfigError(f"[perturbation] missing key: {key}")
+        qsec = _section(cp, "perturbation", ("g", "eps"), ("strict", "normalize"))
         perturbation = PerturbStudyConfig(
             g=parse_profile(qsec["g"], "[perturbation] g"),
-            eps=_float_list("perturbation", "eps", qsec["eps"]),
-            strict=_bool("perturbation", "strict", qsec.get("strict", "true")),
-            normalize=_bool("perturbation", "normalize", qsec.get("normalize", "false")),
-        )
+            eps=_list("perturbation", "eps", qsec["eps"]),
+            **{key: _bool("perturbation", key, qsec[key])
+               for key in ("strict", "normalize") if key in qsec})
         for e in perturbation.eps:
             if not 0.0 <= e < math.inf:
                 raise ConfigError(
@@ -373,23 +339,17 @@ def parse_config(text: str) -> ParsedConfig:
 
     sweep = None
     if cp.has_section("sweep"):
-        wsec = cp["sweep"]
-        _check_keys("sweep", wsec.keys(), {"n", "headways", "velocities", *_SWEEP_GRID_KEYS})
-        for key in ("n", "headways", "velocities"):
-            if key not in wsec:
-                raise ConfigError(f"[sweep] missing key: {key}")
-        n_values = _int_list("sweep", "n", wsec["n"])
+        wsec = _section(cp, "sweep", ("n", "headways", "velocities"), _GAIN_KEYS)
+        n_values = _list("sweep", "n", wsec["n"], int)
         for n in n_values:
             if not 2 <= n <= SWEEP_N_CAP:
                 raise ConfigError(f"[sweep] n must be in [2, {SWEEP_N_CAP}], got {n}")
-        grids = {}
-        for key in _SWEEP_GRID_KEYS:
-            if key in wsec:
-                grids[key] = _float_list("sweep", key, wsec[key])
+        # The gain grids are read before the axes: which error wins is pinned.
+        grids = {key: _list("sweep", key, wsec[key]) for key in _GAIN_KEYS if key in wsec}
         sweep = SweepConfig(
             n=n_values,
-            headways=_float_list("sweep", "headways", wsec["headways"]),
-            velocities=_float_list("sweep", "velocities", wsec["velocities"]),
+            headways=_list("sweep", "headways", wsec["headways"]),
+            velocities=_list("sweep", "velocities", wsec["velocities"]),
             param_grids=grids,
         )
 
@@ -419,10 +379,7 @@ def scenario_to_manifest(s: Scenario) -> dict:
     base = s.base_params
     out = {
         "model_kind": s.model_kind.value,
-        "params": {
-            "k_v": base.k_v, "k_d": base.k_d, "k": base.k, "tau_s": base.tau_s,
-            "v_bar": base.v_bar, "u_min": base.u_min, "u_max": base.u_max,
-        },
+        "params": {key: getattr(base, key) for key in _GAIN_KEYS},
         "initial": {
             "positions": [veh.x for veh in s.initial.vehicles],
             "velocities": [veh.v for veh in s.initial.vehicles],
@@ -434,5 +391,5 @@ def scenario_to_manifest(s: Scenario) -> dict:
                     "guard_tol": s.stepper.guard_tol},
     }
     if isinstance(s.params, CaccParams):
-        out["cacc"] = {"k_a": s.params.k_a, "d": s.params.d, "d_l": s.params.d_l}
+        out["cacc"] = {key: getattr(s.params, key) for key in _CACC_KEYS}
     return out

@@ -170,6 +170,18 @@ class TestBadInput:
         assert code == 3
         assert "invalid scenario" in capsys.readouterr().err
 
+    def test_non_finite_profile_number(self, tmp_path, capsys):
+        """An infinite omega is refused as a config error, not reached by
+        validation's math.sin as a bare math domain error."""
+        cfg = tmp_path / "inf.ini"
+        cfg.write_text(SWEEP_CFG.replace("profile = 0 10 const 0.0",
+                                         "profile = 0 10 sin 0 0.01 inf 0"), encoding="utf-8")
+        out = tmp_path / "o"
+        assert run("simulate", "--config", str(cfg), "--out", str(out)) == 3
+        assert capsys.readouterr().err == ("config error: [leader] profile: non-finite number "
+                                           "in clause '0 10 sin 0 0.01 inf 0'\n")
+        assert not out.exists()
+
     def test_unknown_preset_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run("simulate", "--preset", "zig", "--out", str(tmp_path))

@@ -106,6 +106,21 @@ class TestParseProfile:
         with pytest.raises(ConfigError):
             parse_profile(bad)
 
+    @pytest.mark.parametrize("text, clause", [
+        ("0 inf const 0.0",) * 2,           # a time
+        ("nan 10 const 0.0",) * 2,
+        ("0 10 sin 0 0.01 inf 0",) * 2,     # an omega
+        ("0 10 wave 0 0 0.01 nan 0",) * 2,
+        ("0 10 ramp -inf 0",) * 2,          # a coefficient
+        ("table 0:0 inf:1",) * 2,           # a table knot
+        ("table 0:0 5:nan",) * 2,
+        ("0 5 const 1 | 5 inf const 2", "5 inf const 2"),  # the clause, not the profile
+    ])
+    def test_non_finite_number_refused(self, text, clause):
+        with pytest.raises(ConfigError) as err:
+            parse_profile(text, "[leader] profile")
+        assert str(err.value) == f"[leader] profile: non-finite number in clause {clause!r}"
+
 
 class TestProfileToText:
     @pytest.mark.parametrize("text", [
