@@ -156,14 +156,10 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     res = simulate(s, validate=False)
     write_trajectory_csv(res.trajectory, out / "trajectory.csv")
+    # Every counter of SolveStats: its int fields.
+    counters = {k: v for k, v in vars(res.stats).items() if isinstance(v, int)}
     _write_manifest(out, "simulate", s, ["trajectory.csv", "manifest.json"],
-                    {"status": res.status.value, "steps": res.stats.steps,
-                     "switch_refinements": res.stats.switch_refinements,
-                     "event_cap_hits": res.stats.event_cap_hits,
-                     "rhs_evals": res.stats.rhs_evals,
-                     "switch_bisection_evals": res.stats.switch_bisection_evals,
-                     "collision_bisection_evals": res.stats.collision_bisection_evals,
-                     "guard_clamps": res.stats.guard_clamps})
+                    {"status": res.status.value, **counters})
     _report_result(res)
     print(f"simulate: {res.status.value}, {res.trajectory.n_points} grid points "
           f"-> {out / 'trajectory.csv'}")
