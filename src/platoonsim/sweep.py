@@ -45,15 +45,6 @@ class RunSummary:
     steps: int
 
 
-def _axes_of(cfg: SweepConfig) -> list[tuple[tuple[int, float, float], tuple[tuple[str, float], ...]]]:
-    grid_keys = sorted(cfg.param_grids)
-    out = []
-    for n, h0, v0 in itertools.product(cfg.n, cfg.headways, cfg.velocities):
-        for combo in itertools.product(*(cfg.param_grids[k] for k in grid_keys)):
-            out.append(((n, h0, v0), tuple(zip(grid_keys, combo))))
-    return out
-
-
 def _grid_scenario(base: Scenario, n: int, h0: float, v0: float,
                    overrides: tuple[tuple[str, float], ...]) -> Scenario:
     params = base.params
@@ -67,15 +58,27 @@ def _grid_scenario(base: Scenario, n: int, h0: float, v0: float,
                    controls=controls)
 
 
+def _jobs(base: Scenario, cfg: SweepConfig) -> list[tuple]:
+    """(index, scenario, (n, headway0, v0), gain overrides) of every grid
+    point, in deterministic grid order."""
+    grid_keys = sorted(cfg.param_grids)
+    jobs = []
+    for axes in itertools.product(cfg.n, cfg.headways, cfg.velocities):
+        for combo in itertools.product(*(cfg.param_grids[k] for k in grid_keys)):
+            overrides = tuple(zip(grid_keys, combo))
+            jobs.append((len(jobs), _grid_scenario(base, *axes, overrides), axes, overrides))
+    return jobs
+
+
 def expand_sweep(base: Scenario, cfg: SweepConfig) -> list[Scenario]:
     """All grid scenarios, in deterministic grid order."""
-    return [_grid_scenario(base, n, h0, v0, ov)
-            for (n, h0, v0), ov in _axes_of(cfg)]
+    return [s for _, s, _, _ in _jobs(base, cfg)]
 
 
-def _summarize(index: int, s: Scenario, cfg_axes: tuple[int, float, float],
-               overrides: tuple[tuple[str, float], ...]) -> RunSummary:
-    n, h0, v0 = cfg_axes
+def run_one(job: tuple) -> RunSummary:
+    """The summary of one of _jobs' grid points, whose scenario run_sweep
+    has validated."""
+    index, s, (n, h0, v0), overrides = job
     res = simulate(s, validate=False)
     traj = res.trajectory
     headways = traj.headways()
@@ -97,12 +100,6 @@ def _summarize(index: int, s: Scenario, cfg_axes: tuple[int, float, float],
         collision_time=collision_time, steps=res.stats.steps)
 
 
-def run_one(args: tuple[int, Scenario, tuple[int, float, float], tuple[tuple[str, float], ...]]) -> RunSummary:
-    """The summary of one grid point, whose scenario run_sweep has validated."""
-    index, s, axes, overrides = args
-    return _summarize(index, s, axes, overrides)
-
-
 def run_sweep(base: Scenario, cfg: SweepConfig, workers: int = 1) -> list[RunSummary]:
     """One summary per grid point, in grid order. Every grid scenario is
     validated, in grid order, before the first run, so a sweep with an
@@ -110,13 +107,11 @@ def run_sweep(base: Scenario, cfg: SweepConfig, workers: int = 1) -> list[RunSum
 
     The pool starts min(workers, runs) processes, all of them at its first
     submit; when that is 1 the runs go in-process."""
-    scenarios = expand_sweep(base, cfg)
-    for s in scenarios:
+    jobs = _jobs(base, cfg)
+    for _, s, _, _ in jobs:
         diags = validate_scenario(s)
         if diags:
             raise ScenarioError(diags)
-    axes = _axes_of(cfg)
-    jobs = [(i, s, ax, ov) for i, (s, (ax, ov)) in enumerate(zip(scenarios, axes))]
     workers = min(workers, len(jobs))
     if workers <= 1:
         return [run_one(job) for job in jobs]
