@@ -171,8 +171,8 @@ class TestBadInput:
         assert "invalid scenario" in capsys.readouterr().err
 
     def test_non_finite_profile_number(self, tmp_path, capsys):
-        """An infinite omega is refused as a config error, not reached by
-        validation's math.sin as a bare math domain error."""
+        """An infinite omega is a config error that names its clause, and
+        no output directory is made."""
         cfg = tmp_path / "inf.ini"
         cfg.write_text(SWEEP_CFG.replace("profile = 0 10 const 0.0",
                                          "profile = 0 10 sin 0 0.01 inf 0"), encoding="utf-8")
