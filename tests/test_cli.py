@@ -365,6 +365,29 @@ class TestEnvelope:
         assert not out.exists()
 
 
+def _perturb_configs():
+    fig5 = preset_text("fig5")
+    # a sine leader whose speed stays in [1, 1.6] under v_bar = 2 although
+    # its L1 bound v0 + ||a_l||_1 is about 20
+    l1_leader = fig5[:fig5.index("[initial]")].replace("T = 60.0", "T = 100.0") + (
+        "[initial]\npositions = 5, 0\nvelocities = 1, 1\n\n"
+        "[leader]\nv0 = 1.0\nprofile = 0 100 sin 0.0 0.3 1.0 0.0\n\n"
+        "[controls]\nu = 0 100 const 1.0\n\n[stepper]\ndt = 0.01\n\n"
+        "[perturbation]\ng = 0 100 const 0.001\neps = 0.1, 0.05, 0.025\nstrict = false\n")
+    g_start, g_end = fig5.index("g = 0 30"), fig5.index("eps =")
+    zero_g = (fig5[:g_start] + "g = 0 60 const 0.0\n"
+              + fig5[g_end:].replace("normalize = true", "normalize = false"))
+    return {"fig5": fig5, "l1_leader": l1_leader,
+            "l1_leader_zero_eps": l1_leader.replace("eps = 0.1, 0.05, 0.025", "eps = 0"),
+            "zero_g": zero_g}
+
+
+PERTURB_CONFIGS = _perturb_configs()
+
+L1_REFUSAL = ("error: no perturbation scale is admissible: the L1 bound v0 + ||a_l||_1 = "
+              "20.158695661686277 exceeds v_bar = 2.0 (headroom -18.158695661686277)\n")
+
+
 class TestPerturb:
     def test_reference_study(self, tmp_path, capsys):
         code = run("perturb", "--preset", "fig5", "--out", str(tmp_path))
@@ -430,14 +453,8 @@ class TestPerturb:
         bound only: this sine leader's speed stays in [1, 1.6] under
         v_bar = 2 although its L1 bound is about 20. A non-strict study runs
         it and reports no admissible scale; a strict one refuses it."""
-        text = preset_text("fig5")
-        text = text[:text.index("[initial]")].replace("T = 60.0", "T = 100.0") + (
-            "[initial]\npositions = 5, 0\nvelocities = 1, 1\n\n"
-            "[leader]\nv0 = 1.0\nprofile = 0 100 sin 0.0 0.3 1.0 0.0\n\n"
-            "[controls]\nu = 0 100 const 1.0\n\n[stepper]\ndt = 0.01\n\n"
-            "[perturbation]\ng = 0 100 const 0.001\neps = 0.1, 0.05, 0.025\nstrict = false\n")
         cfg = tmp_path / "l1.ini"
-        cfg.write_text(text, encoding="utf-8")
+        cfg.write_text(PERTURB_CONFIGS["l1_leader"], encoding="utf-8")
         assert run("simulate", "--config", str(cfg), "--out", str(tmp_path / "s")) == 0
         out = tmp_path / "o"
         assert run("perturb", "--config", str(cfg), "--out", str(out)) == 0
@@ -452,6 +469,28 @@ class TestPerturb:
         assert code == 3
         assert "the L1 bound v0 + ||a_l||_1 = " in capsys.readouterr().err
         assert not strict_out.exists()
+
+    @pytest.mark.parametrize("config, strict, code, err", [
+        ("fig5", "true", 3, "error: eps=1.0 exceeds the admissible scale 0.6000000000000001; "
+                            "pass strict=False to run anyway\n"),
+        ("l1_leader", "true", 3, L1_REFUSAL),
+        ("l1_leader_zero_eps", "true", 3, L1_REFUSAL),
+        ("l1_leader", "false", 0, ""),
+        ("zero_g", "true", 3, "error: perturbation shape has zero L1 norm on [0, T]\n"),
+        ("zero_g", "false", 3, "error: perturbation shape has zero L1 norm on [0, T]\n"),
+    ])
+    def test_admissibility_outcome_is_pinned(self, tmp_path, capsys, config, strict, code, err):
+        """A refused study writes nothing; a non-strict study of a leader
+        past the L1 bound runs and records no admissible scale."""
+        (tmp_path / "p.ini").write_text(PERTURB_CONFIGS[config], encoding="utf-8")
+        out = tmp_path / "o"
+        assert run("perturb", "--config", str(tmp_path / "p.ini"), "--out", str(out),
+                   "--strict-eps", strict) == code
+        assert capsys.readouterr().err == err
+        if code:
+            assert not out.exists()
+        else:
+            assert json.loads((out / "manifest.json").read_text())["eps_admissible_max"] is None
 
     def test_config_without_perturbation_section(self, tmp_path, capsys):
         code = run("perturb", "--preset", "fig4", "--out", str(tmp_path))
@@ -493,6 +532,8 @@ class TestOutputFiles:
         out = tmp_path / "o"
         assert run(command, *argv, "--out", str(out)) == code
         assert (sorted(p.name for p in out.iterdir()) if out.exists() else None) == files
+        if files is not None:
+            assert json.loads((out / "manifest.json").read_text())["outputs"] == files
 
     def test_envelope_keeps_the_run_when_the_envelope_raises(self, tmp_path, capsys,
                                                                monkeypatch):

@@ -16,6 +16,7 @@ replaced, kept here as an oracle, on runs and on synthetic tables.
 
 import csv
 import hashlib
+import json
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -125,20 +126,58 @@ COMMAND_DIGESTS = {
         "convergence.csv": "857bf95c6fce54121d0f40482e334ad396d8a1b957e5d1ddff91feb5f8cae926",
         "trajectory_eps_1000.0.csv": "c5ac2a0ec69ea767635bd21960bd5fb1e510009044cf26341287eb9afa412665",
     }),
+    # summary.csv has '-' in collision_time and time_to_control_band
+    "compare fig1_left": (0, {
+        "cacc.csv": "46b77ad01f871c17506b8917ee3321279d50198623675bfeb7954dc60161b605",
+        "ovfl.csv": "cc7c09bd6ed8fc99a2acd8f11956ac881d55c4a8e718fe6a2b54e80844d105d7",
+        "proposed.csv": "4c18b76fcfaa0777964e50f7be9ed10a6ee1edca083935337306897ba7b6cb79",
+        "summary.csv": "9a6bad0542118f96a947aa378a7d3457dc7f6cdca7690064619ff261c47e980c",
+    }),
+    # a gridded gain column
+    "sweep k_d_grid": (0, {
+        "runs.csv": "8b4cc218743b35963004dd26f0a06aae8fe3b61cf05800f5c9db1f140f3cc1cd",
+    }),
+    # four collisions, '-' margins and a negative v_min
+    "sweep cacc_grid": (0, {
+        "runs.csv": "b9839a3750d3f536a787a43358e27652244350584a9a33a965712b369a61ebd1",
+    }),
 }
+
+
+def _k_d_grid_text():
+    """sweep_demo at T = 10 over n = 2, two headways and a k_d grid."""
+    text = preset_text("sweep_demo").replace("T = 100.0", "T = 10.0")
+    return (text[:text.index("[sweep]")]
+            + "[sweep]\nn = 2\nheadways = 1, 5\nvelocities = 1\nk_d = 0.1, 0.2\n")
+
+
+def _cacc_grid_text():
+    """sweep_demo under CACC at T = 10 over n = 2, 4, headways 0.1, 2,
+    velocities 0, 1.8 and a k_d grid."""
+    text = preset_text("sweep_demo").replace("proposed", "cacc").replace("T = 100.0", "T = 10.0")
+    return (text[:text.index("[sweep]")] + "[sweep]\nn = 2, 4\nheadways = 0.1, 2\n"
+            "velocities = 0, 1.8\nk_d = 0.1, 0.2\n")
+
+
+def _source(name, tmp_path, fig5_guard_trip_text):
+    """The CLI source arguments of a preset or of one of the configs above."""
+    texts = {"fig5_guard_trip": fig5_guard_trip_text, "k_d_grid": _k_d_grid_text(),
+             "cacc_grid": _cacc_grid_text()}
+    if name not in texts:
+        return ["--preset", name]
+    (tmp_path / f"{name}.ini").write_text(texts[name], encoding="utf-8")
+    return ["--config", str(tmp_path / f"{name}.ini")]
 
 
 @pytest.mark.parametrize("case", sorted(COMMAND_DIGESTS))
 def test_command_csv_bytes_are_pinned(case, tmp_path, capsys, fig5_guard_trip_text):
-    command, preset = case.split()
-    source = ["--preset", preset]
-    if preset == "fig5_guard_trip":
-        (tmp_path / "trip.ini").write_text(fig5_guard_trip_text, encoding="utf-8")
-        source = ["--config", str(tmp_path / "trip.ini")]
+    command, name = case.split()
     out = tmp_path / "out"
     code, digests = COMMAND_DIGESTS[case]
-    assert main([command, *source, "--out", str(out)]) == code
-    assert sorted(p.name for p in out.iterdir()) == sorted([*digests, "manifest.json"])
+    assert main([command, *_source(name, tmp_path, fig5_guard_trip_text), "--out", str(out)]) == code
+    listing = sorted(p.name for p in out.iterdir())
+    assert listing == sorted([*digests, "manifest.json"])
+    assert json.loads((out / "manifest.json").read_text(encoding="utf-8"))["outputs"] == listing
     assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in digests} == digests
 
@@ -153,23 +192,12 @@ MANIFEST_DIGESTS = {
 }
 
 
-def _k_d_grid_text():
-    """sweep_demo at T = 10 over n = 2, two headways and a k_d grid."""
-    text = preset_text("sweep_demo").replace("T = 100.0", "T = 10.0")
-    return (text[:text.index("[sweep]")]
-            + "[sweep]\nn = 2\nheadways = 1, 5\nvelocities = 1\nk_d = 0.1, 0.2\n")
-
-
 @pytest.mark.parametrize("case", sorted(MANIFEST_DIGESTS))
-def test_manifest_bytes_are_pinned(case, tmp_path, capsys):
+def test_manifest_bytes_are_pinned(case, tmp_path, capsys, fig5_guard_trip_text):
     command, name = case.split()
-    source = ["--preset", name]
-    if name == "k_d_grid":
-        (tmp_path / "grid.ini").write_text(_k_d_grid_text(), encoding="utf-8")
-        source = ["--config", str(tmp_path / "grid.ini")]
     out = tmp_path / "out"
     code, digest = MANIFEST_DIGESTS[case]
-    assert main([command, *source, "--out", str(out)]) == code
+    assert main([command, *_source(name, tmp_path, fig5_guard_trip_text), "--out", str(out)]) == code
     assert hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest() == digest
 
 
