@@ -86,7 +86,7 @@ from .scenario_io import (
     profile_to_text,
     scenario_to_manifest,
 )
-from .sweep import RunSummary, expand_sweep, run_sweep, write_sweep_csv
+from .sweep import RunSummary, expand_sweep, run_sweep, sweep_table
 
 __all__ = [
     "__version__",
@@ -168,5 +168,5 @@ __all__ = [
     "RunSummary",
     "expand_sweep",
     "run_sweep",
-    "write_sweep_csv",
+    "sweep_table",
 ]

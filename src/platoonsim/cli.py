@@ -19,16 +19,17 @@ exit 7  sweep invariant violation (collision or box exit in a sweep run)
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .core import CaccParams, ModelKind, Scenario, ScenarioError, validate_scenario
 from .integrator import SolveResult, SolveStatus, simulate, trajectory_mismatches
-from .perturbation import convergence_study, max_perturbation_scale
+from .perturbation import convergence_study
 from .presets import PRESET_NAMES, load_preset
 from .safety import build_envelope, certify_trajectory
 from .scenario_io import (
@@ -38,16 +39,15 @@ from .scenario_io import (
     profile_segments_dict,
     scenario_to_manifest,
 )
-from .sweep import run_sweep, write_sweep_csv
+from .sweep import run_sweep, sweep_table
 from .trajectory_io import (
+    cert_table,
     convergence_table,
     envelope_table,
     fmt,
     read_trajectory_csv,
     trajectory_table,
-    write_cert_report_csv,
     write_tables,
-    write_trajectory_csv,
 )
 
 DETERMINISM_NOTE = ("fixed-step integration, envelopes evaluated in closed form, "
@@ -125,14 +125,16 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_manifest(out: Path, command: str, s: Scenario, outputs: list[str],
+def _write_manifest(out: Path, command: str, s: Scenario, tables: list,
                     extra: dict | None = None) -> None:
+    """manifest.json, whose outputs are itself and the files of the
+    (path, header, columns) tables the command wrote."""
     data = {
         "command": command,
         "tool_version": __version__,
         "determinism": DETERMINISM_NOTE,
         "scenario": scenario_to_manifest(s),
-        "outputs": sorted(outputs),
+        "outputs": sorted(["manifest.json", *(path.name for path, _, _ in tables)]),
     }
     if extra:
         data.update(extra)
@@ -155,11 +157,11 @@ def cmd_simulate(args) -> int:
     s = _load(args).scenario
     out = _out_dir(args)
     res = simulate(s, validate=False)
-    write_trajectory_csv(res.trajectory, out / "trajectory.csv")
+    tables = [trajectory_table(res.trajectory, out / "trajectory.csv")]
+    write_tables(tables)
     # Every counter of SolveStats: its int fields.
     counters = {k: v for k, v in vars(res.stats).items() if isinstance(v, int)}
-    _write_manifest(out, "simulate", s, ["trajectory.csv", "manifest.json"],
-                    {"status": res.status.value, **counters})
+    _write_manifest(out, "simulate", s, tables, {"status": res.status.value, **counters})
     _report_result(res)
     print(f"simulate: {res.status.value}, {res.trajectory.n_points} grid points "
           f"-> {out / 'trajectory.csv'}")
@@ -188,7 +190,6 @@ def cmd_compare(args) -> int:
         ("cacc", replace(s, model_kind=ModelKind.CACC, params=cacc_params)),
         ("ovfl", replace(s, model_kind=ModelKind.OVFL, params=base)),
     )
-    outputs = ["summary.csv", "manifest.json"]
     tables = []
     summary_rows = []
     proposed_status = SolveStatus.COMPLETED
@@ -198,7 +199,6 @@ def cmd_compare(args) -> int:
             proposed_status = res.status
         traj = res.trajectory
         tables.append(trajectory_table(traj, out / f"{name}.csv"))
-        outputs.append(f"{name}.csv")
         h = traj.headways()[:, 0]
         v = traj.velocities[:, 1]
         terminal_v = float(v[-1])
@@ -208,24 +208,23 @@ def cmd_compare(args) -> int:
             u = u_of_t.values(traj.times)
         in_band = abs(v - u) < 0.01
         t_band = fmt(traj.times[int(in_band.nonzero()[0][0])]) if in_band.any() else "-"
-        summary_rows.append([
-            name, res.status.value, fmt(float(h.min())),
+        summary_rows.append((
+            name, res.status.value, float(h.min()),
             fmt(traj.collision[0]) if traj.collision else "-",
-            fmt(terminal_v),
-            fmt(_settle_time(traj.times, v, terminal_v)),
-            t_band,
-        ])
+            terminal_v, _settle_time(traj.times, v, terminal_v), t_band,
+        ))
         if res.status is SolveStatus.COLLISION_DETECTED:
             print(f"{name}: collision at t={fmt(traj.collision[0])}")
         else:
             print(f"{name}: {res.status.value}, min headway {fmt(float(h.min()))}")
+    # Number columns as arrays; model, status and the '-'-able times as strings.
+    summary = [np.array(col) if isinstance(col[0], float) else list(col)
+               for col in zip(*summary_rows)]
+    tables.append((out / "summary.csv",
+                   ["model", "status", "min_headway", "collision_time",
+                    "terminal_velocity", "settle_time", "time_to_control_band"], summary))
     write_tables(tables)
-    with open(out / "summary.csv", "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["model", "status", "min_headway", "collision_time",
-                    "terminal_velocity", "settle_time", "time_to_control_band"])
-        w.writerows(summary_rows)
-    _write_manifest(out, "compare", s, outputs)
+    _write_manifest(out, "compare", s, tables)
     return _STATUS_EXIT[proposed_status]
 
 
@@ -262,17 +261,15 @@ def cmd_envelope(args) -> int:
         if res.status is SolveStatus.COMPLETED:
             env = build_envelope(s, res.trajectory)
             report = certify_trajectory(res.trajectory, env)
-            tables.append(envelope_table(res.trajectory, env, out / "envelope.csv"))
+            tables += [envelope_table(res.trajectory, env, out / "envelope.csv"),
+                       cert_table(report, out / "certification.csv")]
     finally:
         write_tables(tables)
     if res.status is not SolveStatus.COMPLETED:
-        _write_manifest(out, "envelope", s, ["trajectory.csv", "manifest.json"],
-                        {"status": res.status.value})
+        _write_manifest(out, "envelope", s, tables, {"status": res.status.value})
         _report_result(res)
         return _STATUS_EXIT[res.status]
-    write_cert_report_csv(report, out / "certification.csv")
-    _write_manifest(out, "envelope", s,
-                    ["trajectory.csv", "envelope.csv", "certification.csv", "manifest.json"],
+    _write_manifest(out, "envelope", s, tables,
                     {"status": res.status.value,
                      "certified_min_headway": env.underline_h,
                      "headway_integral": env.H,
@@ -292,14 +289,6 @@ def cmd_perturb(args) -> int:
     pert = parsed.perturbation
     strict = pert.strict if args.strict_eps is None else args.strict_eps == "true"
     g = pert.resolved_g(s.horizon)
-    try:
-        eps0 = max_perturbation_scale(g, s.leader, s.base_params.v_bar, s.horizon)
-    except ValueError:
-        # The L1 headroom behind the scale is only a sufficient bound: a
-        # non-strict study runs a leader without it and reports no scale.
-        if strict or not g.l1_norm(0.0, s.horizon) > 0.0:
-            raise
-        eps0 = None
     table = convergence_study(s, g, pert.eps, strict=strict)
     base, last = table.runs[0], table.runs[-1]
     if base.status is not SolveStatus.COMPLETED:
@@ -307,16 +296,13 @@ def cmd_perturb(args) -> int:
         return _STATUS_EXIT[base.status]
     out = _out_dir(args)
     eps_values = sorted({float(e) for e in pert.eps}, reverse=True)
-    outputs = ["convergence.csv", "manifest.json"]
     tables = [convergence_table(table, out / "convergence.csv")]
     for eps, res in zip(eps_values, table.runs[1:]):
-        name = f"trajectory_eps_{fmt(eps)}.csv"
-        tables.append(trajectory_table(res.trajectory, out / name))
-        outputs.append(name)
+        tables.append(trajectory_table(res.trajectory, out / f"trajectory_eps_{fmt(eps)}.csv"))
     write_tables(tables)
-    _write_manifest(out, "perturb", s, outputs,
-                    {"eps": eps_values, "eps_admissible_max": eps0, "strict": strict,
-                     "g": profile_segments_dict(g)})
+    _write_manifest(out, "perturb", s, tables,
+                    {"eps": eps_values, "eps_admissible_max": table.admissible_scale,
+                     "strict": strict, "g": profile_segments_dict(g)})
     if last.status is not SolveStatus.COMPLETED:
         _report_result(last)
         return _STATUS_EXIT[last.status]
@@ -342,9 +328,9 @@ def cmd_sweep(args) -> int:
         return 3
     summaries = run_sweep(s, cfg, workers=args.workers)
     out = _out_dir(args)
-    grid_keys = sorted(cfg.param_grids)
-    write_sweep_csv(summaries, grid_keys, out / "runs.csv")
-    _write_manifest(out, "sweep", s, ["runs.csv", "manifest.json"],
+    tables = [sweep_table(summaries, sorted(cfg.param_grids), out / "runs.csv")]
+    write_tables(tables)
+    _write_manifest(out, "sweep", s, tables,
                     {"grid": {"n": list(cfg.n), "headways": list(cfg.headways),
                               "velocities": list(cfg.velocities),
                               **{k: list(v) for k, v in cfg.param_grids.items()}},

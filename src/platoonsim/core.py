@@ -171,6 +171,13 @@ class Trajectory:
         """(M, N-1) array of x_{n-1} - x_n."""
         return self.positions[:, :-1] - self.positions[:, 1:]
 
+    def pair(self, follower: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(headway, predecessor velocity, velocity) of follower 1..N-1, per grid point."""
+        if not 1 <= follower < self.n_vehicles:
+            raise IndexError(f"follower {follower} out of range for {self.n_vehicles} vehicles")
+        return (self.positions[:, follower - 1] - self.positions[:, follower],
+                self.velocities[:, follower - 1], self.velocities[:, follower])
+
 
 @dataclass(frozen=True)
 class Diagnostic:

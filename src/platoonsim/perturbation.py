@@ -62,11 +62,14 @@ class ConvergenceTable:
 
     runs holds the runs behind the rows: the unperturbed base run, then
     one run per row. A study that stopped at a run that did not complete
-    has that run last, with no row of its own.
+    has that run last, with no row of its own. admissible_scale is the
+    study's max_perturbation_scale, None for a non-strict study whose
+    leader is past the L1 bound.
     """
 
     rows: tuple[ConvergenceRow, ...]
     runs: tuple[SolveResult, ...] = field(default=(), repr=False, compare=False)
+    admissible_scale: float | None = None
 
     def __post_init__(self):
         eps = [r.eps for r in self.rows]
@@ -75,6 +78,10 @@ class ConvergenceTable:
 
     def distances(self) -> list[float]:
         return [r.sup_distance for r in self.rows]
+
+
+class _NoHeadroom(ValueError):
+    """The L1 bound v0 + ||a_l||_1 on the leader's speed exceeds v_bar."""
 
 
 def max_perturbation_scale(g: PiecewiseProfile, leader: LeaderProfile,
@@ -92,7 +99,7 @@ def max_perturbation_scale(g: PiecewiseProfile, leader: LeaderProfile,
     a_norm = leader.accel.l1_norm(0.0, T)
     headroom = v_bar - leader.v0 - a_norm
     if headroom < 0.0:
-        raise ValueError(
+        raise _NoHeadroom(
             f"no perturbation scale is admissible: the L1 bound v0 + ||a_l||_1 = "
             f"{leader.v0 + a_norm!r} exceeds v_bar = {v_bar!r} (headroom {headroom!r})")
     return headroom / g_norm
@@ -116,7 +123,9 @@ def perturbed_simulate(s: Scenario, spec: PerturbationSpec, *,
     skip only the leader speed-cap validation.
     """
     _validate(s)
-    _check_admissible(s, spec.g, [spec.eps], strict)
+    if strict and spec.eps > 0.0:
+        eps0 = max_perturbation_scale(spec.g, s.leader, s.base_params.v_bar, s.horizon)
+        _check_scales([spec.eps], eps0)
     return simulate(perturbed_scenario(s, spec), validate=False)
 
 
@@ -126,24 +135,19 @@ def _validate(s: Scenario) -> None:
         raise ScenarioError(diags)
 
 
-def _check_admissible(s: Scenario, g: PiecewiseProfile, eps_values, strict: bool) -> None:
-    """In strict mode, raise ValueError for the first scale above max_perturbation_scale."""
-    if strict and any(eps > 0.0 for eps in eps_values):
-        eps0 = max_perturbation_scale(g, s.leader, s.base_params.v_bar, s.horizon)
-        for eps in eps_values:
-            if eps > eps0:
-                raise ValueError(
-                    f"eps={eps!r} exceeds the admissible scale {eps0!r}; "
-                    "pass strict=False to run anyway")
+def _check_scales(eps_values, eps0: float) -> None:
+    """Raise ValueError for the first scale above the admissible scale eps0."""
+    for eps in eps_values:
+        if eps > eps0:
+            raise ValueError(
+                f"eps={eps!r} exceeds the admissible scale {eps0!r}; "
+                "pass strict=False to run anyway")
 
 
 def pair_signals(traj: Trajectory, follower: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(times, headway, velocity difference) for one leader/follower pair."""
-    if not 1 <= follower < traj.n_vehicles:
-        raise IndexError(f"follower {follower} out of range for {traj.n_vehicles} vehicles")
-    xi = traj.positions[:, follower - 1] - traj.positions[:, follower]
-    zeta = traj.velocities[:, follower - 1] - traj.velocities[:, follower]
-    return traj.times, xi, zeta
+    xi, v_lead, v = traj.pair(follower)
+    return traj.times, xi, v_lead - v
 
 
 def convergence_study(s: Scenario, g: PiecewiseProfile, eps_list,
@@ -155,15 +159,27 @@ def convergence_study(s: Scenario, g: PiecewiseProfile, eps_list,
     The study stops at the first run that does not complete (collision,
     guard), whether the base run or a perturbed one: that run ends
     table.runs and gets no row, so every row compares two full grids.
-    Every scale is checked (finite, nonnegative and, in strict mode,
-    admissible) and s validated before the base run, so a refused study runs nothing.
+
+    Before the base run, s is validated, the admissible scale computed once
+    and every scale checked (finite, nonnegative and, in strict mode, at
+    most that scale), so a refused study runs nothing. A g of zero L1 norm
+    is refused in both modes. The L1 bound behind the scale is only
+    sufficient, so a non-strict study runs a leader past it and reports no
+    scale; a strict one refuses it, even when every eps is 0.
     """
     eps_values = sorted({float(e) for e in eps_list}, reverse=True)
     if not eps_values:
         raise ValueError("eps_list must be non-empty")
-    specs = [PerturbationSpec(g, eps) for eps in eps_values]
     _validate(s)
-    _check_admissible(s, g, eps_values, strict)
+    try:
+        eps0 = max_perturbation_scale(g, s.leader, s.base_params.v_bar, s.horizon)
+    except _NoHeadroom:
+        if strict:
+            raise
+        eps0 = None
+    specs = [PerturbationSpec(g, eps) for eps in eps_values]
+    if strict:
+        _check_scales(eps_values, eps0)
     base = simulate(s, validate=False)
     runs, rows = [base], []
     if base.status is SolveStatus.COMPLETED:
@@ -176,4 +192,4 @@ def convergence_study(s: Scenario, g: PiecewiseProfile, eps_list,
             _, xi, zeta = pair_signals(res.trajectory, follower)
             d = np.hypot(xi - xi_base, zeta - zeta_base)
             rows.append(ConvergenceRow(spec.eps, float(d.max())))
-    return ConvergenceTable(tuple(rows), tuple(runs))
+    return ConvergenceTable(tuple(rows), tuple(runs), eps0)

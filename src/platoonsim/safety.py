@@ -105,10 +105,7 @@ def trajectory_headway_integral(traj: Trajectory, follower: int = 1) -> float:
     """
     if traj.collision is not None:
         raise ValueError("headway integral is undefined for a collision trajectory")
-    if not 1 <= follower < traj.n_vehicles:
-        raise IndexError(f"follower {follower} out of range for {traj.n_vehicles} vehicles")
-    h = traj.positions[:, follower - 1] - traj.positions[:, follower]
-    return float(np.trapezoid(h, traj.times))
+    return float(np.trapezoid(traj.pair(follower)[0], traj.times))
 
 
 def headway_lower_bound(p: ModelParams, h0: float, v0: float, H: float) -> float:
@@ -267,11 +264,8 @@ def certify_trajectory(traj: Trajectory, env: SafetyEnvelope, tol: float = 1e-6,
     upper envelope, velocity inside [V_lo, V_hi], velocity inside
     [0, v_bar]. A check fails iff its worst signed margin drops below -tol.
     """
-    if not 1 <= follower < traj.n_vehicles:
-        raise IndexError(f"follower {follower} out of range for {traj.n_vehicles} vehicles")
+    h, _, v = traj.pair(follower)
     times = traj.times
-    h = traj.positions[:, follower - 1] - traj.positions[:, follower]
-    v = traj.velocities[:, follower]
     lo = env.V_lo(times)
     hi = env.V_hi(times)
     h_cap = env.h_hi(times)

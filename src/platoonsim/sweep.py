@@ -13,9 +13,10 @@ aggregate CSV deterministic for any worker count.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .core import (CaccParams, ModelKind, PlatoonState, Scenario, ScenarioError, VehicleState,
                    validate_scenario)
@@ -24,7 +25,7 @@ from .safety import build_envelope
 from .scenario_io import SweepConfig
 from .trajectory_io import fmt
 
-__all__ = ["RunSummary", "expand_sweep", "run_one", "run_sweep", "write_sweep_csv"]
+__all__ = ["RunSummary", "expand_sweep", "run_one", "run_sweep", "sweep_table"]
 
 
 @dataclass(frozen=True)
@@ -123,19 +124,20 @@ def run_sweep(base: Scenario, cfg: SweepConfig, workers: int = 1) -> list[RunSum
     return sorted(results, key=lambda r: r.index)
 
 
-def write_sweep_csv(summaries: list[RunSummary], grid_keys: list[str], path) -> None:
+def sweep_table(summaries: list[RunSummary], grid_keys: list[str], path):
+    """runs.csv's (path, header, columns) for write_tables: one row per
+    summary, '-' for a bound margin or collision time the run has not."""
+    def nums(name, dtype=float):
+        return np.array([getattr(r, name) for r in summaries], dtype=dtype)
+
+    def optional(name):
+        return [fmt(x) if (x := getattr(r, name)) is not None else "-" for r in summaries]
+
+    gains = [np.array([dict(r.overrides)[k] for r in summaries], dtype=float) for k in grid_keys]
     header = ["index", "n", "headway0", "v0", *grid_keys, "status",
               "min_headway", "v_min", "v_max", "bound_margin",
               "collision_time", "steps"]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for r in summaries:
-            over = dict(r.overrides)
-            row = [str(r.index), str(r.n), fmt(r.headway0), fmt(r.v0)]
-            row += [fmt(over[k]) for k in grid_keys]
-            row += [r.status, fmt(r.min_headway), fmt(r.v_min), fmt(r.v_max)]
-            row.append(fmt(r.bound_margin) if r.bound_margin is not None else "-")
-            row.append(fmt(r.collision_time) if r.collision_time is not None else "-")
-            row.append(str(r.steps))
-            w.writerow(row)
+    cols = [nums("index", int), nums("n", int), nums("headway0"), nums("v0"), *gains,
+            [r.status for r in summaries], nums("min_headway"), nums("v_min"), nums("v_max"),
+            optional("bound_margin"), optional("collision_time"), nums("steps", int)]
+    return path, header, cols

@@ -2,12 +2,15 @@
 
 Every number is written as repr(float(x)), the shortest decimal that
 round-trips binary64, so identical runs produce byte-identical files on
-any platform. No timestamps, no locale formatting. The numeric tables are
-written by column: write_tables walks all of a command's tables together a
-block of rows at a time and formats each distinct column block (same dtype,
-same bytes) once, so a column that several tables of one command share,
-such as the time grid, is formatted once per block for all of them, and
-a block that holds one value (bit for bit) formats it once.
+any platform. No timestamps, no locale formatting. Every CSV the package
+writes is a (path, header, columns) table passed to write_tables, the one
+writer: the *_table functions here and sweep.sweep_table build them. It
+walks all of a command's tables together a block of rows at a time and
+formats each distinct numeric column block (same dtype, same bytes) once,
+so a column that several tables of one command share, such as the time
+grid, is formatted once per block for all of them, and a block that holds
+one value (bit for bit) formats it once. A column of words or '-' cells
+is a list of its strings, written as is.
 """
 
 from __future__ import annotations
@@ -27,11 +30,8 @@ __all__ = [
     "trajectory_table",
     "envelope_table",
     "convergence_table",
-    "write_trajectory_csv",
+    "cert_table",
     "read_trajectory_csv",
-    "write_cert_report_csv",
-    "write_convergence_csv",
-    "write_envelope_csv",
 ]
 
 
@@ -54,16 +54,18 @@ def trajectory_header(n: int) -> list[str]:
 
 def write_tables(tables) -> None:
     """Write each (path, header, columns) table: the header line, then one
-    row per index of its equal-length 1-D columns.
+    row per index of its equal-length columns, each a 1-D numpy array or a
+    list of preformatted strings.
 
     The tables are walked together, _ROWS_PER_CHUNK rows at a time. A
-    column block is keyed by its dtype and bytes, not its values, so -0.0
-    and 0.0 never share a string. Its strings are made once per block, the
-    repr of each Python float (fmt's, where the repr of a numpy scalar is
-    not) or int (a branch code's digit), and held only while a later column
-    of the block has the same key. A block whose bytes are one value
-    repeated, such as a constant leader speed or branch code, takes that
-    value's repr once. No field needs CSV quoting.
+    string column's block is written as is. An array's block is keyed by
+    its dtype and bytes, not its values, so -0.0 and 0.0 never share a
+    string. Its strings are made once per block, the repr of each Python
+    float (fmt's, where the repr of a numpy scalar is not) or int (its
+    str), and held only while a later column of the block has the same
+    key. A block whose bytes are one value repeated, such as a constant
+    leader speed or branch code, takes that value's repr once. No field
+    needs CSV quoting.
     """
     with ExitStack() as stack:
         files = []
@@ -75,7 +77,8 @@ def write_tables(tables) -> None:
         for r in range(0, max(lengths, default=0), _ROWS_PER_CHUNK):
             live = [(fh, [col[r:r + _ROWS_PER_CHUNK] for col in cols])
                     for fh, m, (_, _, cols) in zip(files, lengths, tables) if r < m]
-            keys = [(b.dtype.str, b.tobytes()) for _, blocks in live for b in blocks]
+            keys = [(b.dtype.str, b.tobytes()) if isinstance(b, np.ndarray) else None
+                    for _, blocks in live for b in blocks]
             last = {key: i for i, key in enumerate(keys)}
             held = {}
             i = 0
@@ -83,13 +86,13 @@ def write_tables(tables) -> None:
                 strs = []
                 for b in blocks:
                     key = keys[i]
-                    s = held.pop(key, None)
+                    s = b if key is None else held.pop(key, None)
                     if s is None:
                         if key[1] == key[1][:b.itemsize] * len(b):
                             s = [repr(b[:1].tolist()[0])] * len(b)
                         else:
                             s = list(map(repr, b.tolist()))
-                    if last[key] > i:
+                    if key is not None and last[key] > i:
                         held[key] = s
                     strs.append(s)
                     i += 1
@@ -109,11 +112,20 @@ def trajectory_table(traj: Trajectory, path):
 
 
 def envelope_table(traj: Trajectory, env: SafetyEnvelope, path, follower: int = 1):
-    """Plot-ready columns t, v, V_lo, V_hi, h, h_hi for one pair."""
+    """envelope.csv's (path, header, columns): plot-ready t, v, V_lo, V_hi,
+    h, h_hi for one pair."""
+    h, _, v = traj.pair(follower)
     t = traj.times
-    cols = [t, traj.velocities[:, follower], env.V_lo(t), env.V_hi(t),
-            traj.positions[:, follower - 1] - traj.positions[:, follower], env.h_hi(t)]
+    cols = [t, v, env.V_lo(t), env.V_hi(t), h, env.h_hi(t)]
     return path, ["t", "v", "V_lo", "V_hi", "h", "h_hi"], cols
+
+
+def cert_table(report: CertReport, path):
+    """certification.csv's (path, header, columns): one row per check."""
+    names, margins, times, passed = zip(*report.rows())
+    cols = [list(names), np.array(margins, dtype=float), np.array(times, dtype=float),
+            ["true" if ok else "false" for ok in passed]]
+    return path, ["check", "worst_margin", "worst_time", "passed"], cols
 
 
 def convergence_table(table: ConvergenceTable, path):
@@ -121,10 +133,6 @@ def convergence_table(table: ConvergenceTable, path):
     cols = [np.array([row.eps for row in table.rows], dtype=float),
             np.array([row.sup_distance for row in table.rows], dtype=float)]
     return path, ["eps", "sup_distance"], cols
-
-
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    write_tables([trajectory_table(traj, path)])
 
 
 def read_trajectory_csv(path) -> Trajectory:
@@ -165,21 +173,3 @@ def read_trajectory_csv(path) -> Trajectory:
     return Trajectory(times=data[:, 0].copy(), positions=positions.copy(),
                       velocities=velocities.copy(), branches=branches.astype(np.int8),
                       collision=None)
-
-
-def write_cert_report_csv(report: CertReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["check", "worst_margin", "worst_time", "passed"])
-        for name, margin, t, ok in report.rows():
-            w.writerow([name, fmt(margin), fmt(t), "true" if ok else "false"])
-
-
-def write_convergence_csv(table: ConvergenceTable, path) -> None:
-    write_tables([convergence_table(table, path)])
-
-
-def write_envelope_csv(traj: Trajectory, env: SafetyEnvelope, path,
-                       follower: int = 1) -> None:
-    """Plot-ready columns t, v, V_lo, V_hi, h, h_hi for one pair."""
-    write_tables([envelope_table(traj, env, path, follower)])

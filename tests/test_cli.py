@@ -492,6 +492,21 @@ class TestPerturb:
         else:
             assert json.loads((out / "manifest.json").read_text())["eps_admissible_max"] is None
 
+    @pytest.mark.parametrize("eps, code", [("1, 0.5, 0.1, 0.05, 0.01", 3), ("0.5, 0.1, 0.05", 0)])
+    def test_strict_study_takes_each_l1_norm_once(self, tmp_path, capsys, monkeypatch, eps, code):
+        """A strict fig5 study, refused or run, takes three L1 norms: the
+        shape's to normalize it, then the normalized shape's and the
+        leader acceleration's for the admissible scale."""
+        calls = []
+        l1_norm = PiecewiseProfile.l1_norm
+        monkeypatch.setattr(PiecewiseProfile, "l1_norm",
+                            lambda self, *a: calls.append(a) or l1_norm(self, *a))
+        cfg = tmp_path / "strict.ini"
+        cfg.write_text(preset_text("fig5").replace("eps = 1, 0.5, 0.1, 0.05, 0.01", f"eps = {eps}")
+                       .replace("strict = false", "strict = true"), encoding="utf-8")
+        assert run("perturb", "--config", str(cfg), "--out", str(tmp_path / "o")) == code
+        assert len(calls) == 3
+
     def test_config_without_perturbation_section(self, tmp_path, capsys):
         code = run("perturb", "--preset", "fig4", "--out", str(tmp_path))
         assert code == 3

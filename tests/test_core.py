@@ -15,13 +15,18 @@ from platoonsim import (
     ScenarioError,
     StepperConfig,
     VehicleState,
+    build_envelope,
+    certify_trajectory,
     constant_profile,
     headway,
     leader_velocity,
+    pair_signals,
+    trajectory_headway_integral,
     validate_scenario,
 )
 from platoonsim import integrator, profiles
 from platoonsim.profiles import PiecewiseProfile, Segment
+from platoonsim.trajectory_io import envelope_table
 
 
 def two_car_scenario(params, *, x=(5.0, 0.0), v=(1.0, 0.0), horizon=100.0,
@@ -267,3 +272,24 @@ def test_trajectory_helpers(fig1_left_result):
     hw = tr.headways()
     assert hw.shape == (tr.n_points, 1)
     assert hw[0, 0] == 5.0
+
+
+_PAIR_READERS = {
+    "trajectory_headway_integral": lambda traj, env, f: trajectory_headway_integral(traj, f),
+    "certify_trajectory": lambda traj, env, f: certify_trajectory(traj, env, follower=f),
+    "pair_signals": lambda traj, env, f: pair_signals(traj, f),
+    "envelope_table": lambda traj, env, f: envelope_table(traj, env, "envelope.csv", f),
+}
+
+
+@pytest.mark.parametrize("follower", ["0", "n"])
+@pytest.mark.parametrize("reader", sorted(_PAIR_READERS))
+def test_pair_readers_refuse_a_follower_out_of_range(fig4_scenario, fig4_result, reader,
+                                                     follower):
+    """Follower 0 is the leader and n is past the last car: each reader of
+    one follower's pair raises Trajectory.pair's IndexError."""
+    traj = fig4_result.trajectory
+    env = build_envelope(fig4_scenario, traj)
+    f = 0 if follower == "0" else traj.n_vehicles
+    with pytest.raises(IndexError, match=f"^follower {f} out of range for 2 vehicles$"):
+        _PAIR_READERS[reader](traj, env, f)

@@ -1,6 +1,7 @@
 """Leader-perturbation machinery and the empirical convergence study."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from platoonsim import (
     max_perturbation_scale,
     pair_signals,
     parse_config,
+    parse_profile,
     perturbed_scenario,
     perturbed_simulate,
     simulate,
@@ -187,6 +189,36 @@ class TestConvergenceStudy:
         monkeypatch.setattr(perturbation, "simulate", lambda *a, **k: calls.append(a))
         with pytest.raises(ValueError, match="nonnegative and finite"):
             convergence_study(fig5_parsed.scenario, fig5_g, [eps, 0.1, 0.05], strict=False)
+        assert calls == []
+
+    def test_study_carries_its_admissible_scale(self, fig5_parsed, fig5_g):
+        s = fig5_parsed.scenario
+        eps0 = max_perturbation_scale(fig5_g, s.leader, s.base_params.v_bar, s.horizon)
+        for strict in (True, False):
+            table = convergence_study(s, fig5_g, [0.1], strict=strict)
+            assert table.admissible_scale == eps0
+
+    @pytest.mark.parametrize("case, strict, message", [
+        ("zero_g", False, "zero L1 norm"),
+        ("zero_g", True, "zero L1 norm"),
+        ("past_l1_bound", True, "no perturbation scale is admissible"),
+    ])
+    def test_refused_with_every_eps_zero(self, reference_params, monkeypatch, case, strict,
+                                         message):
+        """No scale: a zero-norm shape, or, in strict mode, a leader past
+        the L1 bound. Such a study is refused before any run, even when its
+        only scale is 0, as perturb refuses it."""
+        calls = []
+        monkeypatch.setattr(perturbation, "simulate", lambda *a, **k: calls.append(a))
+        s = make_scenario(reference_params)
+        g = constant_profile(0.01, 0.0, 10.0)
+        if case == "zero_g":
+            g = constant_profile(0.0, 0.0, 10.0)
+        else:
+            # speed 1 + 0.3 (1 - cos t) <= 1.6, its L1 bound near 2.9
+            s = replace(s, leader=LeaderProfile(parse_profile("0 10 sin 0.0 0.3 1.0 0.0"), 1.0))
+        with pytest.raises(ValueError, match=message):
+            convergence_study(s, g, [0.0], strict=strict)
         assert calls == []
 
     def test_table_rejects_misordered_rows(self):

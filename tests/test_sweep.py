@@ -11,9 +11,10 @@ from platoonsim import (
     parse_config,
     run_sweep,
     simulate,
+    sweep_table,
     trajectory_headway_integral,
-    write_sweep_csv,
 )
+from platoonsim.trajectory_io import write_tables
 
 SMALL = """\
 [params]
@@ -173,7 +174,7 @@ class TestCsv:
     def test_header_and_shape(self, small_cfg, tmp_path):
         rows = run_sweep(small_cfg.scenario, small_cfg.sweep, workers=1)
         path = tmp_path / "runs.csv"
-        write_sweep_csv(rows, [], path)
+        write_tables([sweep_table(rows, [], path)])
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == ("index,n,headway0,v0,status,min_headway,"
                             "v_min,v_max,bound_margin,collision_time,steps")
@@ -185,7 +186,7 @@ class TestCsv:
                           param_grids={"k_d": (0.1, 0.3)})
         rows = run_sweep(small_cfg.scenario, cfg, workers=1)
         path = tmp_path / "runs.csv"
-        write_sweep_csv(rows, ["k_d"], path)
+        write_tables([sweep_table(rows, ["k_d"], path)])
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0].split(",")[4] == "k_d"
         assert lines[1].split(",")[4] == "0.1"
@@ -207,7 +208,7 @@ def test_bound_margin_only_for_the_min_type_law(law, tmp_path):
     cfg = SweepConfig(n=(2, 3), headways=(1.0, 5.0), velocities=(0.0,))
     rows = run_sweep(base.scenario, cfg, workers=1)
     path = tmp_path / "runs.csv"
-    write_sweep_csv(rows, [], path)
+    write_tables([sweep_table(rows, [], path)])
     margins = [line.split(",")[8] for line in path.read_text(encoding="utf-8").splitlines()[1:]]
     assert len(margins) == 4
     if law == "proposed":

@@ -30,8 +30,7 @@ from platoonsim.core import LeaderProfile
 from platoonsim.presets import preset_text
 from platoonsim.scenario_io import parse_profile
 from platoonsim.trajectory_io import (_ROWS_PER_CHUNK, envelope_table, fmt, trajectory_header,
-                                      trajectory_table, write_envelope_csv, write_tables,
-                                      write_trajectory_csv)
+                                      trajectory_table, write_tables)
 
 DIGESTS = {
     "fig1_left": "4c18b76fcfaa0777964e50f7be9ed10a6ee1edca083935337306897ba7b6cb79",
@@ -94,7 +93,7 @@ def _scenario(name):
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_trajectory_csv_bytes_are_pinned(name, tmp_path):
     path = tmp_path / "trajectory.csv"
-    write_trajectory_csv(simulate(_scenario(name)).trajectory, path)
+    write_tables([trajectory_table(simulate(_scenario(name)).trajectory, path)])
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[name]
 
 
@@ -261,11 +260,11 @@ _CASES = {
 @pytest.mark.parametrize("case", sorted(_CASES))
 def test_block_writers_match_per_row_writers(case, tmp_path):
     traj, env = _CASES[case]()
-    write_trajectory_csv(traj, tmp_path / "new.csv")
+    write_tables([trajectory_table(traj, tmp_path / "new.csv")])
     _oracle_trajectory_csv(traj, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
     if env is not None:
-        write_envelope_csv(traj, env, tmp_path / "new_env.csv")
+        write_tables([envelope_table(traj, env, tmp_path / "new_env.csv")])
         _oracle_envelope_csv(traj, env, tmp_path / "old_env.csv")
         assert (tmp_path / "new_env.csv").read_bytes() == (tmp_path / "old_env.csv").read_bytes()
 
@@ -275,8 +274,16 @@ def _signed_zeros_flipped(a):
     return np.where(a == 0.0, np.copysign(0.0, -np.copysign(1.0, a)), a)
 
 
+def _oracle_mixed_csv(words, ints, floats, path):
+    """The csv.writer writer of a table of strings, ints and floats."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["word", "int", "float"])
+        w.writerows([s, str(i), fmt(x)] for s, i, x in zip(words, ints.tolist(), floats.tolist()))
+
+
 def test_one_pass_over_many_tables_matches_the_per_table_oracles(tmp_path):
-    """Six tables in one write_tables call, each byte-equal to its oracle.
+    """Seven tables in one write_tables call, each byte-equal to its oracle.
 
     b shares a's time and leader columns in the first block, and its x_1
     holds a's x_1 with every signed zero flipped (a NaN-free column, so
@@ -284,7 +291,9 @@ def test_one_pass_over_many_tables_matches_the_per_table_oracles(tmp_path):
     one's -0.0 where the other holds 0.0. b's two followers share one
     velocity column, and each envelope table shares t and three more
     columns with its trajectory. c is one row shorter than a block, b one
-    block long and a one row longer.
+    block long and a one row longer. The mixed table, as long as a, holds
+    a string column of words and '-' cells, an int array, and a's x_1 with
+    its signed zeros.
     """
     m = _ROWS_PER_CHUNK
     a, env_a = _synthetic(m + 1)
@@ -307,7 +316,14 @@ def test_one_pass_over_many_tables_matches_the_per_table_oracles(tmp_path):
     order = ["traj_b", "traj_a", "env_c", "env_a", "traj_c", "env_b"]
     tables = [trajectory_table(runs[k[-1]][0], tmp_path / f"{k}.csv") if k.startswith("traj")
               else envelope_table(*runs[k[-1]], tmp_path / f"{k}.csv") for k in order]
+    words = ["-" if k % 3 else f"w{k}" for k in range(m + 1)]
+    ints = np.arange(m + 1) * 7 - 500
+    tables.insert(3, (tmp_path / "mixed.csv", ["word", "int", "float"],
+                      [words, ints, a.positions[:, 1]]))
     write_tables(tables)
+    _oracle_mixed_csv(words, ints, a.positions[:, 1], tmp_path / "oracle.csv")
+    assert (tmp_path / "mixed.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    assert b",-0.0\n" in (tmp_path / "mixed.csv").read_bytes()
     for k in order:
         traj, env = runs[k[-1]]
         if k.startswith("traj"):
@@ -339,7 +355,7 @@ def test_constant_column_blocks_match_the_per_row_oracle(tmp_path):
     times[::7] = -0.0
     traj = Trajectory(times=times, positions=positions, velocities=velocities,
                       branches=branches)
-    write_trajectory_csv(traj, tmp_path / "new.csv")
+    write_tables([trajectory_table(traj, tmp_path / "new.csv")])
     _oracle_trajectory_csv(traj, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
     assert b",-0.0," in (tmp_path / "new.csv").read_bytes()
