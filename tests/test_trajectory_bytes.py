@@ -132,9 +132,29 @@ COMMAND_DIGESTS = {
         "proposed.csv": "4c18b76fcfaa0777964e50f7be9ed10a6ee1edca083935337306897ba7b6cb79",
         "summary.csv": "9a6bad0542118f96a947aa378a7d3457dc7f6cdca7690064619ff261c47e980c",
     }),
+    # n = 3: summary.csv reports follower 1, where runs.csv would reduce
+    # over both followers
+    "compare equilibrium": (0, {
+        "cacc.csv": "7dda33b4193c965951b5a5ad5f785c88af317b3f55ab8103a6a38449a7b8c911",
+        "ovfl.csv": "395b761e6e4b6b300e7dd3eec96144bcc59aa9707639458bfbf495eff93d4836",
+        "proposed.csv": "46406bc6393f257b99f74aa71d2222130b6ffe0aac3f9072805beb4e09216190",
+        "summary.csv": "758ec7ec8ab08af1e124038fcf0b3d860354760a95affea2c46a7d66e09ecfdf",
+    }),
+    # fig1_left under the control 0 100 sin 0.9 0.3 0.2 0.0: each law's
+    # time_to_control_band compares its speeds with the control's values
+    "compare sine_control": (0, {
+        "cacc.csv": "b0c663cf80d514bafc370d18c4fba70bbf0cda0d61a951d7bc2301d2b25edf59",
+        "ovfl.csv": "cc7c09bd6ed8fc99a2acd8f11956ac881d55c4a8e718fe6a2b54e80844d105d7",
+        "proposed.csv": "b0c663cf80d514bafc370d18c4fba70bbf0cda0d61a951d7bc2301d2b25edf59",
+        "summary.csv": "d0d41878a9d90e128606e11b5a1fd04a744ab0e9ae970d874cdb895d7e54d121",
+    }),
     # a gridded gain column
     "sweep k_d_grid": (0, {
         "runs.csv": "8b4cc218743b35963004dd26f0a06aae8fe3b61cf05800f5c9db1f140f3cc1cd",
+    }),
+    # n = 2 and 4 under the broadcast control 0 100 sin 1.0 0.5 0.5 0.0
+    "sweep varying_grid": (0, {
+        "runs.csv": "becfa142eed7508f8899be37ff0a9ede5afc1ff47c9862d4b9fe5ec9f93a9308",
     }),
     # four collisions, '-' margins and a negative v_min
     "sweep cacc_grid": (0, {
@@ -158,10 +178,20 @@ def _cacc_grid_text():
             "velocities = 0, 1.8\nk_d = 0.1, 0.2\n")
 
 
+def _varying_grid_text():
+    """sweep_demo at T = 10 under a sine control over n = 2, 4, headways 1,
+    5 and velocity 0.6: every follower reads one broadcast control object."""
+    text = preset_text("sweep_demo").replace("T = 100.0", "T = 10.0").replace(
+        "u = 0 100 const 1.9", "u = 0 100 sin 1.0 0.5 0.5 0.0")
+    return text[:text.index("[sweep]")] + "[sweep]\nn = 2, 4\nheadways = 1, 5\nvelocities = 0.6\n"
+
+
 def _source(name, tmp_path, fig5_guard_trip_text):
     """The CLI source arguments of a preset or of one of the configs above."""
     texts = {"fig5_guard_trip": fig5_guard_trip_text, "k_d_grid": _k_d_grid_text(),
-             "cacc_grid": _cacc_grid_text()}
+             "cacc_grid": _cacc_grid_text(), "varying_grid": _varying_grid_text(),
+             "sine_control": preset_text("fig1_left").replace(
+                 "u = 0 100 const 1.9", "u = 0 100 sin 0.9 0.3 0.2 0.0")}
     if name not in texts:
         return ["--preset", name]
     (tmp_path / f"{name}.ini").write_text(texts[name], encoding="utf-8")

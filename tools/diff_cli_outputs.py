@@ -6,8 +6,9 @@ Each tree is a checkout of this repository whose package is imported from
 TREE/src. Every command runs on every preset: simulate, compare, envelope
 followed by envelope --check-only on its output, perturb with the
 config's mode and with each --strict-eps value, and sweep. Fixed extras
-add --dt overrides that collide, a k_d-grid sweep and a CACC grid sweep
-with collisions and '-' margins. The extras' config files are built from
+add --dt overrides that collide, a k_d-grid sweep, a CACC grid sweep
+with collisions and '-' margins, a compare of fig1_left under a sine
+control and a sweep under a sine broadcast control. The extras' config files are built from
 CHANGE_TREE's preset texts.
 
 Every step runs in a fresh process per tree, each case with its own
@@ -57,9 +58,13 @@ def _preset_texts(tree: Path, cwd: Path) -> dict[str, str]:
     return json.loads(proc.stdout)
 
 
-def _grid(text: str, sweep: str, model: str = "proposed") -> str:
-    """sweep_demo's text at T = 10 under model, its [sweep] replaced."""
+SINE_CONTROL = "u = 0 100 sin 0.9 0.3 0.2 0.0"
+
+
+def _grid(text: str, sweep: str, model: str = "proposed", u: str = "u = 0 100 const 1.9") -> str:
+    """sweep_demo's text at T = 10 under model and control u, its [sweep] replaced."""
     text = text.replace("proposed", model).replace("T = 100.0", "T = 10.0")
+    text = text.replace("u = 0 100 const 1.9", u)
     return text[:text.index("[sweep]")] + "[sweep]\n" + sweep
 
 
@@ -81,11 +86,15 @@ def _cases(presets: dict[str, str], cfg_dir: Path) -> dict[str, list[list[str]]]
         "k_d_grid": _grid(demo, "n = 2\nheadways = 1, 5\nvelocities = 1\nk_d = 0.1, 0.2\n"),
         "cacc_grid": _grid(demo, "n = 2, 4\nheadways = 0.1, 2\nvelocities = 0, 1.8\n"
                                  "k_d = 0.1, 0.2\n", model="cacc"),
+        "varying_grid": _grid(demo, "n = 2, 4, 8\nheadways = 1, 5\nvelocities = 0.6\n",
+                              u=SINE_CONTROL),
+        "sine_control": presets["fig1_left"].replace("u = 0 100 const 1.9", SINE_CONTROL),
     }
     for name, text in configs.items():
         path = cfg_dir / f"{name}.ini"
         path.write_text(text, encoding="utf-8")
-        cases[f"sweep --config {name}.ini"] = [["sweep", "--config", str(path)]]
+        command = "compare" if name == "sine_control" else "sweep"
+        cases[f"{command} --config {name}.ini"] = [[command, "--config", str(path)]]
     return cases
 
 
