@@ -30,12 +30,14 @@ from .core import (
     validate_scenario,
 )
 from .integrator import (
+    RunRecord,
     SolveResult,
     SolveStats,
     SolveStatus,
     SwitchEvent,
     reference_solve,
     rhs,
+    run_record,
     simulate,
 )
 from .models import (
@@ -118,8 +120,10 @@ __all__ = [
     "SwitchEvent",
     "SolveStats",
     "SolveResult",
+    "RunRecord",
     "rhs",
     "simulate",
+    "run_record",
     "reference_solve",
     # safety
     "SafetyEnvelope",

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .core import CaccParams, ModelKind, Scenario, ScenarioError, validate_scenario
-from .integrator import SolveResult, SolveStatus, simulate, trajectory_mismatches
+from .integrator import SolveResult, SolveStatus, run_record, simulate, trajectory_mismatches
 from .perturbation import convergence_study
 from .presets import PRESET_NAMES, load_preset
 from .safety import build_envelope, certify_trajectory
@@ -68,36 +68,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser):
+    def common(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--config", metavar="PATH", help="scenario config file")
         src.add_argument("--preset", metavar="NAME", choices=PRESET_NAMES,
                          help=f"built-in scenario: {', '.join(PRESET_NAMES)}")
         p.add_argument("--out", metavar="DIR", required=True, help="output directory")
         p.add_argument("--dt", type=float, metavar="F", help="override stepper dt")
+        return p
 
-    p_sim = sub.add_parser("simulate", help="integrate one scenario to CSV")
-    common(p_sim)
-
-    p_cmp = sub.add_parser("compare", help="run the same initial data under all three models")
-    common(p_cmp)
-
-    p_env = sub.add_parser("envelope", help="simulate, build safety envelopes, certify")
-    common(p_env)
-    p_env.add_argument("--check-only", action="store_true",
-                       help="re-certify the trajectory.csv already in --out; write nothing")
-
-    p_pert = sub.add_parser("perturb", help="leader-perturbation convergence study")
-    common(p_pert)
-    p_pert.add_argument("--strict-eps", choices=("true", "false"),
-                        help="override the config's admissibility mode")
-
-    p_sweep = sub.add_parser("sweep", help="run a scenario grid")
-    common(p_sweep)
-    p_sweep.add_argument("--workers", type=int, default=1, metavar="N",
-                         help="parallel worker processes, at most one per grid point; "
-                              "1 runs in-process (default 1)")
-
+    common(sub.add_parser("simulate", help="integrate one scenario to CSV"))
+    common(sub.add_parser("compare", help="run the same initial data under all three models"))
+    p = common(sub.add_parser("envelope", help="simulate, build safety envelopes, certify"))
+    p.add_argument("--check-only", action="store_true",
+                   help="re-certify the trajectory.csv already in --out; write nothing")
+    p = common(sub.add_parser("perturb", help="leader-perturbation convergence study"))
+    p.add_argument("--strict-eps", choices=("true", "false"),
+                   help="override the config's admissibility mode")
+    p = common(sub.add_parser("sweep", help="run a scenario grid"))
+    p.add_argument("--workers", type=int, default=1, metavar="N",
+                   help="parallel worker processes, at most one per grid point; "
+                        "1 runs in-process (default 1)")
     return parser
 
 
@@ -159,23 +150,12 @@ def cmd_simulate(args) -> int:
     res = simulate(s, validate=False)
     tables = [trajectory_table(res.trajectory, out / "trajectory.csv")]
     write_tables(tables)
-    # Every counter of SolveStats: its int fields.
-    counters = {k: v for k, v in vars(res.stats).items() if isinstance(v, int)}
-    _write_manifest(out, "simulate", s, tables, {"status": res.status.value, **counters})
+    _write_manifest(out, "simulate", s, tables,
+                    {"status": res.status.value, **run_record(s, res).counters})
     _report_result(res)
     print(f"simulate: {res.status.value}, {res.trajectory.n_points} grid points "
           f"-> {out / 'trajectory.csv'}")
     return _STATUS_EXIT[res.status]
-
-
-def _settle_time(times, v, terminal: float, band: float = 0.01) -> float:
-    outside = abs(v - terminal) > band
-    if not outside.any():
-        return float(times[0])
-    last = int(outside.nonzero()[0][-1])
-    if last + 1 >= len(times):
-        return float(times[-1])
-    return float(times[last + 1])
 
 
 def cmd_compare(args) -> int:
@@ -190,42 +170,27 @@ def cmd_compare(args) -> int:
         ("cacc", replace(s, model_kind=ModelKind.CACC, params=cacc_params)),
         ("ovfl", replace(s, model_kind=ModelKind.OVFL, params=base)),
     )
-    tables = []
-    summary_rows = []
-    proposed_status = SolveStatus.COMPLETED
+    tables, records = [], []
     for name, variant in variants:
         res = simulate(variant, validate=False)
-        if name == "proposed":
-            proposed_status = res.status
-        traj = res.trajectory
-        tables.append(trajectory_table(traj, out / f"{name}.csv"))
-        h = traj.headways()[:, 0]
-        v = traj.velocities[:, 1]
-        terminal_v = float(v[-1])
-        u_of_t = variant.controls[0]
-        u = u_of_t.is_constant()
-        if u is None:
-            u = u_of_t.values(traj.times)
-        in_band = abs(v - u) < 0.01
-        t_band = fmt(traj.times[int(in_band.nonzero()[0][0])]) if in_band.any() else "-"
-        summary_rows.append((
-            name, res.status.value, float(h.min()),
-            fmt(traj.collision[0]) if traj.collision else "-",
-            terminal_v, _settle_time(traj.times, v, terminal_v), t_band,
-        ))
-        if res.status is SolveStatus.COLLISION_DETECTED:
-            print(f"{name}: collision at t={fmt(traj.collision[0])}")
+        records.append(rec := run_record(variant, res))
+        tables.append(trajectory_table(res.trajectory, out / f"{name}.csv"))
+        if rec.collision_time is not None:
+            print(f"{name}: collision at t={fmt(rec.collision_time)}")
         else:
-            print(f"{name}: {res.status.value}, min headway {fmt(float(h.min()))}")
-    # Number columns as arrays; model, status and the '-'-able times as strings.
-    summary = [np.array(col) if isinstance(col[0], float) else list(col)
-               for col in zip(*summary_rows)]
+            print(f"{name}: {rec.status.value}, min headway {fmt(rec.min_headways[0])}")
+    summary = [[name for name, _ in variants], [r.status.value for r in records],
+               np.array([r.min_headways[0] for r in records]),
+               [fmt(r.collision_time) if r.collision_time is not None else "-" for r in records],
+               np.array([r.terminal_v for r in records]),
+               np.array([r.settle_time for r in records]),
+               [fmt(r.band_time) if r.band_time is not None else "-" for r in records]]
     tables.append((out / "summary.csv",
                    ["model", "status", "min_headway", "collision_time",
                     "terminal_velocity", "settle_time", "time_to_control_band"], summary))
     write_tables(tables)
     _write_manifest(out, "compare", s, tables)
-    return _STATUS_EXIT[proposed_status]
+    return _STATUS_EXIT[records[0].status]  # the min-type law's run
 
 
 def _print_report(report) -> int:
@@ -335,14 +300,14 @@ def cmd_sweep(args) -> int:
                               "velocities": list(cfg.velocities),
                               **{k: list(v) for k, v in cfg.param_grids.items()}},
                      "runs": len(summaries)})
-    completed = sum(1 for r in summaries if r.status == SolveStatus.COMPLETED.value)
+    completed = sum(1 for r in summaries if r.record.status is SolveStatus.COMPLETED)
     print(f"sweep: {completed}/{len(summaries)} runs completed -> {out / 'runs.csv'}")
     if s.model_kind is ModelKind.PROPOSED:
         bad = [r for r in summaries
-               if r.status != SolveStatus.COMPLETED.value or not r.min_headway > 0.0]
+               if r.record.status is not SolveStatus.COMPLETED or not r.record.min_headway > 0.0]
         if bad:
             print(f"sweep: {len(bad)} run(s) violated the collision-free/velocity-box "
-                  f"invariants (first: index {bad[0].index}, status {bad[0].status})",
+                  f"invariants (first: index {bad[0].index}, status {bad[0].record.status.value})",
                   file=sys.stderr)
             return 7
     return 0

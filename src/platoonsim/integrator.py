@@ -51,8 +51,8 @@ from .core import (CaccParams, ModelKind, PlatoonState, Scenario, ScenarioError,
 from .models import (_FLAG_OF_SIGN, _LAWS, TANH2, TIE_TOLERANCE, BranchFlag, _Singular, _signs,
                      _uses)
 
-__all__ = ["SolveStatus", "SwitchEvent", "SolveStats", "SolveResult", "StepperConfig", "rhs",
-           "simulate", "reference_solve", "time_grid", "trajectory_mismatches"]
+__all__ = ["SolveStatus", "SwitchEvent", "SolveStats", "SolveResult", "RunRecord", "StepperConfig",
+           "rhs", "run_record", "simulate", "reference_solve", "time_grid", "trajectory_mismatches"]
 
 # Cap on event refinements inside one regular step; past this the trial is
 # accepted as-is (defensive, not expected to bind).
@@ -104,6 +104,46 @@ class SolveResult:
     trajectory: Trajectory
     status: SolveStatus
     stats: SolveStats
+
+
+@dataclass(frozen=True)
+class RunRecord:
+    """One run as the outputs read it (run_record); None for a time the run
+    has not. Follower 1 settles where its speed stays within 0.01 of its
+    last value, and reaches the band where it first is within 0.01 of u."""
+
+    status: SolveStatus
+    collision_time: float | None
+    stats: SolveStats
+    min_headways: tuple[float, ...]  # each follower's
+    v_min: float  # over every follower
+    v_max: float
+    terminal_v: float  # follower 1's
+    settle_time: float
+    band_time: float | None
+
+    @property
+    def min_headway(self) -> float:
+        return min(self.min_headways)
+
+    @property
+    def counters(self) -> dict[str, int]:
+        """Every counter of SolveStats: its int fields."""
+        return {k: v for k, v in vars(self.stats).items() if isinstance(v, int)}
+
+
+def run_record(s: Scenario, res: SolveResult) -> RunRecord:
+    """The record of res, a run of s, in numpy over its recorded arrays."""
+    traj, u = res.trajectory, s.controls[0]
+    times, vs = traj.times, traj.velocities[:, 1:]
+    v, c = vs[:, 0], u.is_constant()
+    band = np.flatnonzero(abs(v - (u.values(times) if c is None else c)) < 0.01)
+    out = np.flatnonzero(abs(v - v[-1]) > 0.01)
+    settle = times[min(out[-1] + 1, len(times) - 1)] if len(out) else times[0]
+    return RunRecord(res.status, traj.collision[0] if traj.collision else None, res.stats,
+                     tuple(traj.headways().min(axis=0).tolist()), float(vs.min()),
+                     float(vs.max()), float(v[-1]), float(settle),
+                     float(times[band[0]]) if len(band) else None)
 
 
 def _flipped(signs: list[int], other: list[int]) -> bool:
@@ -339,28 +379,31 @@ def _forcing(accel, controls):
     """(at, rows), the one evaluator of the leader acceleration accel and the
     follower controls; a law without controls gets none.
 
-    at(ts) is ([a_l], [us]) at the times ts: each varying profile goes
-    through its values once per call, and a constant profile is its
-    constant. rows(t, ends) has one row (a_l_2, us_2, a_l_4,
-    us_4, a_l_e, us_e) per step from t to each time of ends in turn: the
-    forcing at the step's t + h/2, t + h and t_end, with h = t_end - t as
-    step computes it and t_end evaluated only where it is not t + h. rows
-    applies that rule to all of ends at once, as array arithmetic on the
-    grid, and makes one at call for the chunk: its times are every step's
-    t + h/2, then every t + h, then the t_end that differ. All-constant
-    forcing gives one shared row and computes no times.
+    at(ts) is ([a_l], [us]) at the times ts: each distinct varying profile
+    object goes through its values once per call (a sweep's followers share
+    one control object), and a constant profile is its constant.
+    rows(t, ends) has one row (a_l_2, us_2, a_l_4, us_4, a_l_e, us_e) per
+    step from t to each time of ends in turn: the forcing at the step's
+    t + h/2, t + h and t_end, with h = t_end - t as step computes it and
+    t_end evaluated only where it is not t + h. rows applies that rule to
+    all of ends at once, as array arithmetic on the grid, and makes one at
+    call for the chunk: its times are every step's t + h/2, then every
+    t + h, then the t_end that differ. All-constant forcing gives one
+    shared row and computes no times.
     """
     a_fixed = accel.is_constant()
     u_fixed = [u.is_constant() for u in controls]
     u_varying = None in u_fixed
     fixed = a_fixed is not None and not u_varying
     row = (a_fixed, u_fixed) * 3
+    varying = {id(p): p for p, c in zip((accel, *controls), (a_fixed, *u_fixed)) if c is None}
 
     def at(ts) -> tuple[list[float], list]:
-        a = [a_fixed] * len(ts) if a_fixed is not None else accel.values(ts)
+        vals = {key: p.values(ts) for key, p in varying.items()}
+        a = [a_fixed] * len(ts) if a_fixed is not None else vals[id(accel)]
         if not u_varying:
             return a, [u_fixed] * len(ts)
-        return a, list(zip(*[u.values(ts) if c is None else [c] * len(ts)
+        return a, list(zip(*[vals[id(u)] if c is None else [c] * len(ts)
                              for u, c in zip(controls, u_fixed)]))
 
     def rows(t: float, ends) -> list[tuple]:

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 
 from .core import (CaccParams, ModelKind, PlatoonState, Scenario, ScenarioError, VehicleState,
                    validate_scenario)
-from .integrator import SolveStatus, simulate
+from .integrator import RunRecord, SolveStatus, run_record, simulate
 from .safety import build_envelope
 from .scenario_io import SweepConfig
 from .trajectory_io import fmt
@@ -30,20 +31,16 @@ __all__ = ["RunSummary", "expand_sweep", "run_one", "run_sweep", "sweep_table"]
 
 @dataclass(frozen=True)
 class RunSummary:
-    """Aggregate row for one grid point."""
+    """A grid point, its run's record, and the run's least margin above any
+    follower's certified headway floor (None but for a completed min-type run)."""
 
     index: int
     n: int
     headway0: float
     v0: float
     overrides: tuple[tuple[str, float], ...]
-    status: str
-    min_headway: float
-    v_min: float
-    v_max: float
+    record: RunRecord
     bound_margin: float | None
-    collision_time: float | None
-    steps: int
 
 
 def _grid_scenario(base: Scenario, n: int, h0: float, v0: float,
@@ -81,24 +78,13 @@ def run_one(job: tuple) -> RunSummary:
     has validated."""
     index, s, (n, h0, v0), overrides = job
     res = simulate(s, validate=False)
-    traj = res.trajectory
-    headways = traj.headways()
-    min_headway = float(headways.min())
-    follower_v = traj.velocities[:, 1:]
-    v_min = float(follower_v.min())
-    v_max = float(follower_v.max())
+    rec = run_record(s, res)
     # The certified floor is a theorem about the min-type law only.
     bound_margin = None
-    if res.status is SolveStatus.COMPLETED and s.model_kind is ModelKind.PROPOSED:
-        bound_margin = min(
-            float(headways[:, i - 1].min()) - build_envelope(s, traj, i).underline_h
-            for i in range(1, traj.n_vehicles))
-    collision_time = traj.collision[0] if traj.collision else None
-    return RunSummary(
-        index=index, n=n, headway0=h0, v0=v0, overrides=overrides,
-        status=res.status.value, min_headway=min_headway,
-        v_min=v_min, v_max=v_max, bound_margin=bound_margin,
-        collision_time=collision_time, steps=res.stats.steps)
+    if rec.status is SolveStatus.COMPLETED and s.model_kind is ModelKind.PROPOSED:
+        bound_margin = min(h - build_envelope(s, res.trajectory, i).underline_h
+                           for i, h in enumerate(rec.min_headways, 1))
+    return RunSummary(index, n, h0, v0, overrides, rec, bound_margin)
 
 
 def run_sweep(base: Scenario, cfg: SweepConfig, workers: int = 1) -> list[RunSummary]:
@@ -128,16 +114,17 @@ def sweep_table(summaries: list[RunSummary], grid_keys: list[str], path):
     """runs.csv's (path, header, columns) for write_tables: one row per
     summary, '-' for a bound margin or collision time the run has not."""
     def nums(name, dtype=float):
-        return np.array([getattr(r, name) for r in summaries], dtype=dtype)
+        return np.array(list(map(attrgetter(name), summaries)), dtype=dtype)
 
     def optional(name):
-        return [fmt(x) if (x := getattr(r, name)) is not None else "-" for r in summaries]
+        return [fmt(x) if (x := attrgetter(name)(r)) is not None else "-" for r in summaries]
 
     gains = [np.array([dict(r.overrides)[k] for r in summaries], dtype=float) for k in grid_keys]
     header = ["index", "n", "headway0", "v0", *grid_keys, "status",
               "min_headway", "v_min", "v_max", "bound_margin",
               "collision_time", "steps"]
     cols = [nums("index", int), nums("n", int), nums("headway0"), nums("v0"), *gains,
-            [r.status for r in summaries], nums("min_headway"), nums("v_min"), nums("v_max"),
-            optional("bound_margin"), optional("collision_time"), nums("steps", int)]
+            [r.record.status.value for r in summaries], nums("record.min_headway"),
+            nums("record.v_min"), nums("record.v_max"), optional("bound_margin"),
+            optional("record.collision_time"), nums("record.stats.steps", int)]
     return path, header, cols

@@ -52,8 +52,8 @@ def order_reference():
 def test_criterion_1_sweep_collision_free_with_certified_floor(demo_sweep):
     cfg, rows, elapsed = demo_sweep
     assert len(rows) >= 200
-    assert all(r.status == "completed" for r in rows)
-    min_h = min(r.min_headway for r in rows)
+    assert all(r.record.status.value == "completed" for r in rows)
+    min_h = min(r.record.min_headway for r in rows)
     worst_margin = min(r.bound_margin for r in rows)
     print(f"runs={len(rows)} min_headway={min_h!r} "
           f"worst_bound_margin={worst_margin!r} elapsed={elapsed:.1f}s")
@@ -65,8 +65,8 @@ def test_criterion_1_sweep_collision_free_with_certified_floor(demo_sweep):
 def test_criterion_2_sweep_velocity_box(demo_sweep):
     cfg, rows, _ = demo_sweep
     v_bar = cfg.scenario.base_params.v_bar
-    v_min = min(r.v_min for r in rows)
-    v_max = max(r.v_max for r in rows)
+    v_min = min(r.record.v_min for r in rows)
+    v_max = max(r.record.v_max for r in rows)
     print(f"follower velocities in [{v_min!r}, {v_max!r}], cap {v_bar}")
     assert v_min >= -1e-9
     assert v_max <= v_bar + 1e-9

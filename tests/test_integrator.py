@@ -789,6 +789,25 @@ def _varying_platoon(kind, **changes):
     return replace(s, **changes)
 
 
+@pytest.mark.parametrize("kind, evaluations", [(ModelKind.PROPOSED, 6), (ModelKind.CACC, 6),
+                                               (ModelKind.OVFL, 2)])
+def test_a_step_evaluates_each_profile_object_once_per_stage_time(kind, evaluations,
+                                                                  monkeypatch):
+    """One step reads the forcing at t + h/2 and t + h. Under the leader and
+    three controls of which two are one object, that is 3 profiles at 2
+    times, not 4 at 2; OVFL reads only the leader."""
+    s = _varying_platoon(kind)
+    eng = integrator._Engine(s)
+    y = [c for veh in s.initial.vehicles for c in (veh.x, veh.v)]
+    f = eng.deriv(0.0, y)
+    pairs = []
+    values = PiecewiseProfile.values
+    monkeypatch.setattr(PiecewiseProfile, "values",
+                        lambda p, ts: pairs.extend((id(p), t) for t in ts) or values(p, ts))
+    eng.step(0.0, y, f, 0.01)
+    assert len(pairs) == evaluations == len(set(pairs))
+
+
 @pytest.mark.parametrize("kind", list(ModelKind))
 def test_march_matches_the_event_path_under_time_varying_forcing(kind, monkeypatch):
     """march reads its forcing from the block's table, the event path's step

@@ -93,8 +93,8 @@ class TestRunSweep:
     def test_single_worker(self, small_cfg):
         rows = run_sweep(small_cfg.scenario, small_cfg.sweep, workers=1)
         assert [r.index for r in rows] == list(range(8))
-        assert all(r.status == "completed" for r in rows)
-        assert all(r.min_headway > 0.0 for r in rows)
+        assert all(r.record.status.value == "completed" for r in rows)
+        assert all(r.record.min_headway > 0.0 for r in rows)
         assert all(r.bound_margin is not None and r.bound_margin > -1e-6 for r in rows)
 
     def test_bound_margin_is_the_worst_follower_floor_margin(self, small_cfg):
@@ -157,8 +157,8 @@ class TestRunSweep:
         rows = run_sweep(small_cfg.scenario, small_cfg.sweep, workers=1)
         v_bar = small_cfg.scenario.base_params.v_bar
         for r in rows:
-            assert r.v_min >= -1e-9
-            assert r.v_max <= v_bar + 1e-9
+            assert r.record.v_min >= -1e-9
+            assert r.record.v_max <= v_bar + 1e-9
 
     def test_reference_grid_collision_free(self, small_cfg):
         # tightest published grid: tiny to generous gaps, slow to near-cap speeds
@@ -166,8 +166,8 @@ class TestRunSweep:
                           velocities=(0.0, 0.5, 1.485))
         rows = run_sweep(small_cfg.scenario, cfg, workers=1)
         assert len(rows) == 12
-        assert all(r.status == "completed" for r in rows)
-        assert all(r.collision_time is None for r in rows)
+        assert all(r.record.status.value == "completed" for r in rows)
+        assert all(r.record.collision_time is None for r in rows)
 
 
 class TestCsv:
