@@ -8,8 +8,8 @@ followed by envelope --check-only on its output, perturb with the
 config's mode and with each --strict-eps value, and sweep. Fixed extras
 add --dt overrides that collide, a k_d-grid sweep, a CACC grid sweep
 with collisions and '-' margins, a compare of fig1_left under a sine
-control and a sweep under a sine broadcast control. The extras' config files are built from
-CHANGE_TREE's preset texts.
+control and a sweep under a sine broadcast control. The extras' config
+files are built from CHANGE_TREE's preset texts.
 
 Every step runs in a fresh process per tree, each case with its own
 --out directory, deleted once compared; in stdout and stderr its path
@@ -58,13 +58,14 @@ def _preset_texts(tree: Path, cwd: Path) -> dict[str, str]:
     return json.loads(proc.stdout)
 
 
+# The control line of sweep_demo and fig1_left, and the sine control of two extras.
+CONSTANT_CONTROL = "u = 0 100 const 1.9"
 SINE_CONTROL = "u = 0 100 sin 0.9 0.3 0.2 0.0"
 
 
-def _grid(text: str, sweep: str, model: str = "proposed", u: str = "u = 0 100 const 1.9") -> str:
-    """sweep_demo's text at T = 10 under model and control u, its [sweep] replaced."""
+def _grid(text: str, sweep: str, model: str = "proposed") -> str:
+    """sweep_demo's text at T = 10 under model, its [sweep] replaced."""
     text = text.replace("proposed", model).replace("T = 100.0", "T = 10.0")
-    text = text.replace("u = 0 100 const 1.9", u)
     return text[:text.index("[sweep]")] + "[sweep]\n" + sweep
 
 
@@ -86,9 +87,9 @@ def _cases(presets: dict[str, str], cfg_dir: Path) -> dict[str, list[list[str]]]
         "k_d_grid": _grid(demo, "n = 2\nheadways = 1, 5\nvelocities = 1\nk_d = 0.1, 0.2\n"),
         "cacc_grid": _grid(demo, "n = 2, 4\nheadways = 0.1, 2\nvelocities = 0, 1.8\n"
                                  "k_d = 0.1, 0.2\n", model="cacc"),
-        "varying_grid": _grid(demo, "n = 2, 4, 8\nheadways = 1, 5\nvelocities = 0.6\n",
-                              u=SINE_CONTROL),
-        "sine_control": presets["fig1_left"].replace("u = 0 100 const 1.9", SINE_CONTROL),
+        "varying_grid": _grid(demo, "n = 2, 4, 8\nheadways = 1, 5\nvelocities = 0.6\n").replace(
+            CONSTANT_CONTROL, SINE_CONTROL),
+        "sine_control": presets["fig1_left"].replace(CONSTANT_CONTROL, SINE_CONTROL),
     }
     for name, text in configs.items():
         path = cfg_dir / f"{name}.ini"
