@@ -327,27 +327,52 @@ class TestEnvelope:
         assert "is not a run of this scenario" in captured.err
         assert "FAIL" not in captured.out
 
-    @pytest.mark.parametrize("column, value, reason", [
-        ("v_0", "nan", "a value that is not finite"),
-        ("t", "50.0", "the time 50.0 at grid point 499 is not the dt grid's 4.99"),
-        ("branch_1", "300", "a branch code outside {0, 1, 2}"),
-        ("h_1", "123.0", "a headway h_i that is not x_{i-1} - x_i"),
-    ], ids=["nan_velocity", "time_off_grid", "branch_code", "headway_column"])
-    def test_check_only_rejects_malformed_trajectory(self, tmp_path, capsys, column, value, reason):
-        """One tampered cell of fig4's own output: exit 3 with the reason on
+    @pytest.mark.parametrize("line, column, value, err", [
+        (500, "v_0", "nan", "error: PATH: row 501 has a value that is not finite"),
+        (500, "t", "50.0", "envelope --check-only: PATH is not a run of this scenario: "
+                           "the time 50.0 at grid point 499 is not the dt grid's 4.99"),
+        (500, "branch_1", "300", "error: PATH: row 501 has a branch code outside {0, 1, 2}"),
+        (500, "h_1", "123.0", "error: PATH: row 501 has a headway h_i that is not x_{i-1} - x_i"),
+        (0, "v_0", "w_0", "error: PATH: unexpected header "
+                          "['t', 'x_0', 'w_0', 'x_1', 'v_1', 'h_1', 'branch_1']"),
+        (500, "branch_1", None, "error: PATH: row 501 has 6 fields, expected 7"),
+        (500, "v_1", "", "error: could not convert string to float: ''"),
+        (500, "v_1", "fast", "error: could not convert string to float: 'fast'"),
+    ], ids=["nan_velocity", "time_off_grid", "branch_code", "headway_column", "wrong_header",
+            "short_row", "empty_cell", "non_number_cell"])
+    def test_check_only_rejects_malformed_trajectory(self, tmp_path, capsys, line, column, value,
+                                                     err):
+        """One tampered line of fig4's own output (a cell replaced, or
+        dropped where value is None): exit 3 with exactly the reason on
         stderr, nothing certified and no traceback."""
         assert run("envelope", "--preset", "fig4", "--out", str(tmp_path)) == 0
         capsys.readouterr()
         path = tmp_path / "trajectory.csv"
         lines = path.read_text().splitlines()
-        cells = lines[500].split(",")
-        cells[lines[0].split(",").index(column)] = value
-        lines[500] = ",".join(cells)
+        cells = lines[line].split(",")
+        i = lines[0].split(",").index(column)
+        cells[i:i + 1] = [] if value is None else [value]
+        lines[line] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         code = run("envelope", "--preset", "fig4", "--out", str(tmp_path), "--check-only")
         captured = capsys.readouterr()
         assert code == 3
-        assert reason in captured.err and "Traceback" not in captured.err
+        assert captured.err == err.replace("PATH", str(path)) + "\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("keep, reason", [(0, "empty trajectory file"),
+                                              (1, "no data rows")],
+                             ids=["empty_file", "header_only"])
+    def test_check_only_rejects_truncated_trajectory(self, tmp_path, capsys, keep, reason):
+        assert run("envelope", "--preset", "fig4", "--out", str(tmp_path)) == 0
+        capsys.readouterr()
+        path = tmp_path / "trajectory.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:keep]), encoding="utf-8")
+        code = run("envelope", "--preset", "fig4", "--out", str(tmp_path), "--check-only")
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == f"error: {path}: {reason}\n"
         assert captured.out == ""
 
     def test_check_only_without_trajectory(self, tmp_path, capsys):
@@ -696,3 +721,32 @@ def test_importing_the_cli_leaves_process_pools_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+def test_calls_in_one_process_carry_no_state(tmp_path, capsys):
+    """Calls of main() in a row in one process: each sees only its own
+    arguments, whatever the call before it overrode, refused or exited on."""
+    out = tmp_path / "envelope"
+    assert run("envelope", "--preset", "fig4", "--out", str(out), "--check-only") == 3
+    assert not out.exists()
+    assert run("envelope", "--preset", "fig4", "--out", str(out)) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "certification.csv", "envelope.csv", "manifest.json", "trajectory.csv"]
+
+    run("simulate", "--preset", "fig4", "--dt", "2", "--out", str(tmp_path / "coarse"))
+    assert run("simulate", "--preset", "fig4", "--out", str(tmp_path / "fine")) == 0
+    manifest = json.loads((tmp_path / "fine" / "manifest.json").read_text())
+    assert manifest["scenario"]["stepper"]["dt"] == 0.01
+
+    run("perturb", "--preset", "fig5", "--strict-eps", "true", "--out", str(tmp_path / "strict"))
+    assert run("perturb", "--preset", "fig5", "--out", str(tmp_path / "config_mode")) == 0
+    manifest = json.loads((tmp_path / "config_mode" / "manifest.json").read_text())
+    assert manifest["strict"] is False
+
+    for argv in (["--version"], ["simulate", "--preset", "zig", "--out", str(tmp_path / "zig")]):
+        with pytest.raises(SystemExit):
+            run(*argv)
+    assert run("simulate", "--preset", "fig4", "--out", str(tmp_path / "again")) == 0
+    for name in ("trajectory.csv", "manifest.json"):
+        assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "fine" / name).read_bytes()
+    capsys.readouterr()
