@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from dataclasses import replace
 from pathlib import Path
 
@@ -322,9 +323,12 @@ _DISPATCH = {
 }
 
 
+# One parser per process, built on the first call to main().
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
     except ConfigError as e:

@@ -19,6 +19,7 @@ behavior is comparable, not the distances themselves.
 from __future__ import annotations
 
 import math
+from functools import cache
 
 from .scenario_io import ParsedConfig, parse_config
 
@@ -127,5 +128,8 @@ def preset_text(name: str) -> str:
         raise KeyError(f"unknown preset {name!r}; known presets: {known}") from None
 
 
+@cache
 def load_preset(name: str) -> ParsedConfig:
+    """The preset's parse, one per name per process: it is frozen and shared,
+    so derive a changed copy with dataclasses.replace."""
     return parse_config(preset_text(name))

@@ -19,6 +19,7 @@ from platoonsim import (
     preset_text,
     profile_to_text,
     scenario_to_manifest,
+    simulate,
     validate_scenario,
 )
 from platoonsim.profiles import PiecewiseProfile, Segment
@@ -484,8 +485,21 @@ class TestPresets:
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_every_preset_parses_and_validates(self, name):
-        cfg = load_preset(name)
+        cfg = parse_config(preset_text(name))
+        assert cfg == load_preset(name)
         assert validate_scenario(cfg.scenario) == []
+
+    def test_a_shared_preset_runs_as_a_fresh_parse(self):
+        """load_preset hands every caller one parse per name. A run on it,
+        after an earlier run built its profiles' cached tables, equals a run
+        on a fresh parse bit for bit."""
+        shared = load_preset("order_check")
+        assert load_preset("order_check") is shared
+        simulate(shared.scenario)
+        a = simulate(shared.scenario).trajectory
+        b = simulate(parse_config(preset_text("order_check")).scenario).trajectory
+        for name in ("times", "positions", "velocities", "branches"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
     def test_unknown_preset_lists_names(self):
         with pytest.raises(KeyError, match="fig1_left"):

@@ -15,7 +15,11 @@ Every step runs in a fresh process per tree, each case with its own
 --out directory, deleted once compared; in stdout and stderr its path
 reads <OUT> and the scratch directory's <TMP>. A case differs when an
 exit code, stdout, stderr, the set of files in --out or any file's bytes
-differ. Every differing case is printed; the exit code is 1 if there is
+differ. Then every case runs a second time per tree, in one process that
+calls platoonsim.cli.main case after case (last case first), as the
+benchmark does; a case whose results there differ from its tree's run
+with one process per step shows state carried from one call to the
+next. Every differing case is printed; the exit code is 1 if there is
 one, else 0. A refactor that keeps the outputs byte for byte reports no
 difference.
 """
@@ -23,6 +27,7 @@ difference.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import shutil
@@ -99,20 +104,68 @@ def _cases(presets: dict[str, str], cfg_dir: Path) -> dict[str, list[list[str]]]
     return cases
 
 
+def _texts(proc_out: str, out: Path, tmp: Path) -> str:
+    return proc_out.replace(str(out), "<OUT>").replace(str(tmp), "<TMP>")
+
+
+def _files(out: Path) -> dict[str, str] | None:
+    """{file name: sha256} of --out, or None without it; --out is then deleted."""
+    files = ({p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+             if out.exists() else None)
+    shutil.rmtree(out.parent, ignore_errors=True)
+    return files
+
+
 def _run_case(tree: Path, steps: list[list[str]], out: Path, tmp: Path):
-    """Per step (code, stdout, stderr), then {file name: bytes} of --out."""
+    """Per step (code, stdout, stderr), each in a fresh process, then _files."""
     results = []
     for argv in steps:
         proc = _python(tree, ["-m", "platoonsim.cli", *argv, "--out", str(out)], tmp)
-        texts = [t.replace(str(out), "<OUT>").replace(str(tmp), "<TMP>")
-                 for t in (proc.stdout, proc.stderr)]
-        results.append((proc.returncode, *texts))
-    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else None
-    shutil.rmtree(out.parent, ignore_errors=True)
-    return results, files
+        results.append((proc.returncode, _texts(proc.stdout, out, tmp),
+                        _texts(proc.stderr, out, tmp)))
+    return results, _files(out)
 
 
-def _differences(a, b) -> list[str]:
+# Reads [[steps, out], ...] as JSON on stdin and runs every step in this one
+# process; prints per case one JSON line of its steps' [code, stdout, stderr].
+# An exit code is the one the process would have exited with.
+_IN_PROCESS = """\
+import contextlib, io, json, sys, traceback
+from platoonsim.cli import main
+channel = sys.stdout
+for steps, out in json.load(sys.stdin):
+    results = []
+    for argv in steps:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main([*argv, "--out", out])
+            except SystemExit as e:
+                code = e.code if isinstance(e.code, int) else int(e.code is not None)
+            except Exception:
+                code = 1
+                traceback.print_exc()
+        results.append([code, stdout.getvalue(), stderr.getvalue()])
+    print(json.dumps(results), file=channel, flush=True)
+"""
+
+
+def _run_in_process(tree: Path, cases: list[list[list[str]]], outs: list[Path], tmp: Path):
+    """Every case's _run_case results, all cases in one process, last case
+    first: an override (--dt, --strict-eps) then runs before the cases of
+    its preset that read the preset's own value."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _IN_PROCESS], cwd=tmp, capture_output=True, text=True,
+        input=json.dumps([[steps, str(out)] for steps, out in zip(cases[::-1], outs[::-1])]),
+        env={**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"})
+    lines = proc.stdout.splitlines()
+    if proc.returncode or len(lines) != len(cases):
+        sys.exit(f"the in-process run of {tree} stopped:\n{proc.stderr}")
+    return [([(code, _texts(o, out, tmp), _texts(e, out, tmp)) for code, o, e in json.loads(line)],
+             _files(out)) for line, out in zip(lines[::-1], outs)]
+
+
+def _differences(a, b, sides=("the parent", "the change")) -> list[str]:
     (steps_a, files_a), (steps_b, files_b) = a, b
     diffs = []
     for i, (sa, sb) in enumerate(zip(steps_a, steps_b)):
@@ -121,8 +174,8 @@ def _differences(a, b) -> list[str]:
                 diffs.append(f"step {i + 1} {what}: {va!r} != {vb!r}")
     if files_a is None or files_b is None:
         if files_a != files_b:
-            diffs.append(f"--out {'missing' if files_a is None else 'present'} in the parent, "
-                         f"{'missing' if files_b is None else 'present'} in the change")
+            diffs.append(f"--out {'missing' if files_a is None else 'present'} in {sides[0]}, "
+                         f"{'missing' if files_b is None else 'present'} in {sides[1]}")
         return diffs
     if sorted(files_a) != sorted(files_b):
         diffs.append(f"files: {sorted(files_a)} != {sorted(files_b)}")
@@ -140,11 +193,13 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="diff_cli_") as tmp_name:
         tmp = Path(tmp_name)
         cases = _cases(_preset_texts(trees[1], tmp), tmp)
-        different, files = 0, 0
+        different, files, alone = 0, 0, ([], [])
         with ThreadPoolExecutor(max_workers=2) as pool:
             for k, (label, steps) in enumerate(cases.items()):
                 outs = [tmp / side / str(k) / "out" for side in ("parent", "change")]
                 a, b = pool.map(lambda tree, out: _run_case(tree, steps, out, tmp), trees, outs)
+                alone[0].append(a)
+                alone[1].append(b)
                 files += len(b[1] or ())
                 diffs = _differences(a, b)
                 if diffs:
@@ -152,9 +207,23 @@ def main(argv=None) -> int:
                     print(f"DIFF {label}")
                     for line in diffs:
                         print(f"    {line}")
+            together = pool.map(
+                lambda tree, side: _run_in_process(
+                    tree, list(cases.values()),
+                    [tmp / side / str(k) / "out" for k in range(len(cases))], tmp),
+                trees, ("parent_in_process", "change_in_process"))
+            carried = 0
+            for side, runs_alone, runs in zip(("parent", "change"), alone, together):
+                for label, a, b in zip(cases, runs_alone, runs):
+                    diffs = _differences(a, b, ("one process per step", "one process"))
+                    if diffs:
+                        carried += 1
+                        print(f"DIFF in one process, {side}: {label}")
+                        for line in diffs:
+                            print(f"    {line}")
     print(f"{len(cases)} cases, {files} files in the change's outputs, "
-          f"{different} differing")
-    return 1 if different else 0
+          f"{different} differing; in one process, {carried} differing from a process per step")
+    return 1 if different or carried else 0
 
 
 if __name__ == "__main__":
