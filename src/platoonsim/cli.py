@@ -21,8 +21,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import cache
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np

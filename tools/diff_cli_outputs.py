@@ -184,6 +184,15 @@ def _differences(a, b, sides=("the parent", "the change")) -> list[str]:
     return diffs
 
 
+def _report(label: str, diffs: list[str]) -> int:
+    """Print a differing case with its differences; 1 if it differs, else 0."""
+    if diffs:
+        print(f"DIFF {label}")
+        for line in diffs:
+            print(f"    {line}")
+    return int(bool(diffs))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="the parent checkout")
@@ -201,26 +210,17 @@ def main(argv=None) -> int:
                 alone[0].append(a)
                 alone[1].append(b)
                 files += len(b[1] or ())
-                diffs = _differences(a, b)
-                if diffs:
-                    different += 1
-                    print(f"DIFF {label}")
-                    for line in diffs:
-                        print(f"    {line}")
+                different += _report(label, _differences(a, b))
             together = pool.map(
                 lambda tree, side: _run_in_process(
                     tree, list(cases.values()),
                     [tmp / side / str(k) / "out" for k in range(len(cases))], tmp),
                 trees, ("parent_in_process", "change_in_process"))
-            carried = 0
-            for side, runs_alone, runs in zip(("parent", "change"), alone, together):
-                for label, a, b in zip(cases, runs_alone, runs):
-                    diffs = _differences(a, b, ("one process per step", "one process"))
-                    if diffs:
-                        carried += 1
-                        print(f"DIFF in one process, {side}: {label}")
-                        for line in diffs:
-                            print(f"    {line}")
+            carried = sum(
+                _report(f"in one process, {side}: {label}",
+                        _differences(a, b, ("one process per step", "one process")))
+                for side, runs_alone, runs in zip(("parent", "change"), alone, together)
+                for label, a, b in zip(cases, runs_alone, runs))
     print(f"{len(cases)} cases, {files} files in the change's outputs, "
           f"{different} differing; in one process, {carried} differing from a process per step")
     return 1 if different or carried else 0
