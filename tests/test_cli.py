@@ -10,8 +10,9 @@ import sys
 import pytest
 
 from platoonsim import BranchFlag, PiecewiseProfile, convergence_study, load_preset, preset_text
+from platoonsim import PerturbationSpec, ScenarioError, constant_profile, parse_config
 from platoonsim import core
-from platoonsim import simulate
+from platoonsim import perturbed_simulate, run_sweep, simulate, validate_scenario
 from platoonsim.cli import main
 from platoonsim.scenario_io import load_config
 from platoonsim.trajectory_io import fmt
@@ -709,6 +710,40 @@ class TestValidationCounts:
         table = convergence_study(s, pert.resolved_g(s.horizon), pert.eps, strict=pert.strict)
         assert len(table.runs) == 6
         assert validate_calls == [s]
+
+
+# SWEEP_CFG with two diagnostics that every grid point shares.
+TWO_DIAGNOSTICS_CFG = SWEEP_CFG.replace("k_v = 1.0", "k_v = -1.0").replace("u_max = 1.95",
+                                                                          "u_max = 2.5")
+
+
+class TestValidationGate:
+    """Every entry point refuses an invalid scenario with the same diagnostics."""
+
+    def test_library_entry_points(self):
+        parsed = parse_config(TWO_DIAGNOSTICS_CFG)
+        s = parsed.scenario
+        g = constant_profile(0.1, 0.0, 10.0)
+        diags = validate_scenario(s)
+        assert [d.field for d in diags] == ["params.k_v", "params.u_min"]
+        for call in (lambda: simulate(s),
+                     lambda: perturbed_simulate(s, PerturbationSpec(g, 0.5)),
+                     lambda: convergence_study(s, g, [0.5, 0.25]),
+                     lambda: run_sweep(s, parsed.sweep)):
+            with pytest.raises(ScenarioError) as err:
+                call()
+            assert err.value.diagnostics == diags
+
+    @pytest.mark.parametrize("command", ["simulate", "compare", "envelope", "perturb", "sweep"])
+    def test_cli_command(self, tmp_path, capsys, command):
+        cfg = tmp_path / "invalid.ini"
+        cfg.write_text(TWO_DIAGNOSTICS_CFG, encoding="utf-8")
+        out = tmp_path / "o"
+        assert run(command, "--config", str(cfg), "--out", str(out)) == 3
+        assert capsys.readouterr() == ("", "invalid scenario: params.k_v: must be a positive "
+                                           "finite number\ninvalid scenario: params.u_min: "
+                                           "need 0 < u_min < u_max < v_bar\n")
+        assert not out.exists()
 
 
 def test_importing_the_cli_leaves_process_pools_unloaded():
