@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import CaccParams, ModelKind, Scenario, ScenarioError, validate_scenario
+from .core import CaccParams, ModelKind, Scenario, ScenarioError, _require_valid
 from .integrator import SolveResult, SolveStatus, run_record, simulate, trajectory_mismatches
 from .perturbation import convergence_study
 from .presets import PRESET_NAMES, load_preset
@@ -105,9 +105,7 @@ def _load(args) -> ParsedConfig:
             raise ConfigError(f"--dt must be positive, got {args.dt!r}")
         parsed = replace(parsed, scenario=replace(
             parsed.scenario, stepper=replace(parsed.scenario.stepper, dt=args.dt)))
-    diags = validate_scenario(parsed.scenario)
-    if diags:
-        raise ScenarioError(diags)
+    _require_valid(parsed.scenario)
     return parsed
 
 

@@ -314,6 +314,13 @@ def validate_scenario(s: Scenario) -> list[Diagnostic]:
     return out
 
 
+def _require_valid(s: Scenario) -> None:
+    """Raise ScenarioError with validate_scenario's diagnostics, if any."""
+    diags = validate_scenario(s)
+    if diags:
+        raise ScenarioError(diags)
+
+
 def leader_velocity(leader: LeaderProfile, t: float) -> float:
     """Leader speed at time t, from the exact integral of its acceleration.
 

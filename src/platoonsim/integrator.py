@@ -46,13 +46,12 @@ from enum import Enum
 
 import numpy as np
 
-from .core import (CaccParams, ModelKind, PlatoonState, Scenario, ScenarioError, StepperConfig,
-                   Trajectory, validate_scenario)
+from .core import CaccParams, ModelKind, PlatoonState, Scenario, Trajectory, _require_valid
 from .models import (_FLAG_OF_SIGN, _LAWS, TANH2, TIE_TOLERANCE, BranchFlag, _Singular, _signs,
                      _uses)
 
-__all__ = ["SolveStatus", "SwitchEvent", "SolveStats", "SolveResult", "RunRecord", "StepperConfig",
-           "rhs", "run_record", "simulate", "reference_solve", "time_grid", "trajectory_mismatches"]
+__all__ = ["SolveStatus", "SwitchEvent", "SolveStats", "SolveResult", "RunRecord", "rhs",
+           "run_record", "simulate", "reference_solve"]
 
 # Cap on event refinements inside one regular step; past this the trial is
 # accepted as-is (defensive, not expected to bind).
@@ -366,7 +365,7 @@ class _Engine:
               "_Singular": _Singular}
         if s.model_kind is ModelKind.CACC:
             if not isinstance(s.params, CaccParams):
-                raise ScenarioError(validate_scenario(s))
+                _require_valid(s)
             ns.update(ka=s.params.k_a, gdd=1.0 / s.params.d - 1.0 / s.params.d_l)
         for code in _kernel(s.model_kind):
             exec(code, ns)
@@ -621,9 +620,7 @@ def simulate(s: Scenario, *, validate: bool = True) -> SolveResult:
     perturbation study) and for a deliberately over-cap perturbed leader.
     """
     if validate:
-        diags = validate_scenario(s)
-        if diags:
-            raise ScenarioError(diags)
+        _require_valid(s)
 
     eng = _Engine(s)
     run = _RunState(s.switch_tol, s.stepper.guard_tol if s.model_kind is ModelKind.PROPOSED else None)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import LeaderProfile, Scenario, ScenarioError, Trajectory, validate_scenario
+from .core import LeaderProfile, Scenario, Trajectory, _require_valid
 from .integrator import SolveResult, SolveStatus, simulate
 from .profiles import PiecewiseProfile
 
@@ -122,17 +122,11 @@ def perturbed_simulate(s: Scenario, spec: PerturbationSpec, *,
     eps must not exceed max_perturbation_scale. Non-strict over-scale runs
     skip only the leader speed-cap validation.
     """
-    _validate(s)
+    _require_valid(s)
     if strict and spec.eps > 0.0:
         eps0 = max_perturbation_scale(spec.g, s.leader, s.base_params.v_bar, s.horizon)
         _check_scales([spec.eps], eps0)
     return simulate(perturbed_scenario(s, spec), validate=False)
-
-
-def _validate(s: Scenario) -> None:
-    diags = validate_scenario(s)
-    if diags:
-        raise ScenarioError(diags)
 
 
 def _check_scales(eps_values, eps0: float) -> None:
@@ -170,7 +164,7 @@ def convergence_study(s: Scenario, g: PiecewiseProfile, eps_list,
     eps_values = sorted({float(e) for e in eps_list}, reverse=True)
     if not eps_values:
         raise ValueError("eps_list must be non-empty")
-    _validate(s)
+    _require_valid(s)
     try:
         eps0 = max_perturbation_scale(g, s.leader, s.base_params.v_bar, s.horizon)
     except _NoHeadroom:

@@ -230,20 +230,20 @@ class PiecewiseProfile:
     def _columns(self) -> tuple:
         """The segment starts as an array, then by segment index the
         coefficients of _segment_value: the const and slope columns and,
-        for each sine slot j, the (amp, omega, phase) columns, which hold
-        0.0 where a segment has j sines or fewer and are never read there.
-        Last, each segment's sine count, or None when all counts are equal."""
+        for each sine slot j, the (amp, omega, phase) columns. A segment
+        with j sines or fewer holds (-0.0, 0.0, 0.0) in slot j: that term
+        is -0.0 * sin(0.0) = -0.0, and v + -0.0 is v for every v, signed
+        zeros included, so every segment's sum is Segment.value's."""
         segs = self.segments
         slots = max(len(seg.sines) for seg in segs)
-        sines = [[0.0] * (3 * slots) for _ in segs]
+        sines = [[-0.0, 0.0, 0.0] * slots for _ in segs]
         for row, seg in zip(sines, segs):
             row[:3 * len(seg.sines)] = [c for sine in seg.sines for c in sine]
         sines = np.array(sines, dtype=float).reshape(len(segs), slots, 3).transpose(1, 2, 0)
-        counts = np.array([len(seg.sines) for seg in segs])
         return (np.array([seg.t0 for seg in segs], dtype=float),
                 np.array([seg.const for seg in segs], dtype=float),
                 np.array([seg.slope for seg in segs], dtype=float),
-                sines, None if (counts == slots).all() else counts)
+                sines)
 
     def values(self, ts) -> list[float]:
         """[self.value(t) for t in ts], bit for bit: the integrator's one
@@ -251,13 +251,12 @@ class PiecewiseProfile:
 
         Array operations throughout, but for math.sin (_sin_each): the end
         clamps, one np.searchsorted of the times inside the span, and
-        _segment_value on the coefficients gathered by segment index, once
-        for each sine count the times meet, so that no sine term is added
-        where a segment has none (-0.0 + 0.0 is 0.0). A call costs
-        O(len(ts) log(segments)), however many segments it does not meet.
+        _segment_value on the coefficients gathered by segment index. A
+        call costs O(len(ts) log(segments)), however many segments it does
+        not meet.
         """
         ts = np.asarray(ts, dtype=float)
-        starts, const, slope, sines, counts = self._columns
+        starts, const, slope, sines = self._columns
         _, _, start, end, at_start, at_end = self._table
         low, high = ts <= start, ts >= end
         inside = ~(low | high)
@@ -266,19 +265,8 @@ class PiecewiseProfile:
         out[high] = at_end
         t = ts[inside]
         i = np.searchsorted(starts, t, side="right") - 1
-        dt = t - starts[i]
-        if counts is None:
-            groups = [(len(sines), slice(None))]
-        else:
-            c = counts[i]
-            groups = [(k, c == k) for k in range(len(sines) + 1)]
-        v = np.empty(len(t))
-        for k, sel in groups:
-            j = i[sel]
-            if len(j):
-                v[sel] = _segment_value(const[j], slope[j], [col[:, j] for col in sines[:k]],
-                                        dt[sel], _sin_each)
-        out[inside] = v
+        out[inside] = _segment_value(const[i], slope[i], [col[:, i] for col in sines],
+                                     t - starts[i], _sin_each)
         return out.tolist()
 
     def integrate(self, a: float, b: float) -> float:

@@ -62,7 +62,6 @@ __all__ = [
     "parse_config",
     "load_config",
     "scenario_to_manifest",
-    "profile_segments_dict",
 ]
 
 _GAIN_KEYS = tuple(f.name for f in fields(ModelParams))

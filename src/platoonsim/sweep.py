@@ -19,14 +19,13 @@ from operator import attrgetter
 
 import numpy as np
 
-from .core import (CaccParams, ModelKind, PlatoonState, Scenario, ScenarioError, VehicleState,
-                   validate_scenario)
+from .core import CaccParams, ModelKind, PlatoonState, Scenario, VehicleState, _require_valid
 from .integrator import RunRecord, SolveStatus, run_record, simulate
 from .safety import build_envelope
 from .scenario_io import SweepConfig
 from .trajectory_io import fmt
 
-__all__ = ["RunSummary", "expand_sweep", "run_one", "run_sweep", "sweep_table"]
+__all__ = ["RunSummary", "expand_sweep", "run_sweep", "sweep_table"]
 
 
 @dataclass(frozen=True)
@@ -96,9 +95,7 @@ def run_sweep(base: Scenario, cfg: SweepConfig, workers: int = 1) -> list[RunSum
     submit; when that is 1 the runs go in-process."""
     jobs = _jobs(base, cfg)
     for _, s, _, _ in jobs:
-        diags = validate_scenario(s)
-        if diags:
-            raise ScenarioError(diags)
+        _require_valid(s)
     workers = min(workers, len(jobs))
     if workers <= 1:
         return [run_one(job) for job in jobs]

@@ -139,8 +139,9 @@ def read_trajectory_csv(path) -> Trajectory:
     """Rebuild a trajectory from its CSV. Collision metadata is not stored
     in the file, so the result always carries collision=None.
 
-    Raises ValueError unless every value is finite, every branch code is 0,
-    1 or 2, and each h_i equals x_{i-1} - x_i bit for bit, as written.
+    Raises ValueError, naming the file and the row, unless every value is a
+    finite number, every branch code is 0, 1 or 2, and each h_i equals
+    x_{i-1} - x_i bit for bit, as written.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -158,7 +159,17 @@ def read_trajectory_csv(path) -> Trajectory:
     for r, row in enumerate(rows):
         if len(row) != len(expected):
             raise ValueError(f"{path}: row {r + 2} has {len(row)} fields, expected {len(expected)}")
-    data = np.array(rows, dtype=float)
+    try:
+        data = np.array(rows, dtype=float)
+    except ValueError:
+        for r, row in enumerate(rows):
+            for cell in row:
+                try:
+                    float(cell)
+                except ValueError:
+                    raise ValueError(f"{path}: row {r + 2} has a value that is not a number: "
+                                     f"{cell!r}") from None
+        raise
     positions, velocities = data[:, 1:2 * n + 1:2], data[:, 2:2 * n + 1:2]
     branches = data[:, 3 * n:]
     checks = (

@@ -337,8 +337,8 @@ class TestEnvelope:
         (0, "v_0", "w_0", "error: PATH: unexpected header "
                           "['t', 'x_0', 'w_0', 'x_1', 'v_1', 'h_1', 'branch_1']"),
         (500, "branch_1", None, "error: PATH: row 501 has 6 fields, expected 7"),
-        (500, "v_1", "", "error: could not convert string to float: ''"),
-        (500, "v_1", "fast", "error: could not convert string to float: 'fast'"),
+        (500, "v_1", "", "error: PATH: row 501 has a value that is not a number: ''"),
+        (500, "v_1", "fast", "error: PATH: row 501 has a value that is not a number: 'fast'"),
     ], ids=["nan_velocity", "time_off_grid", "branch_code", "headway_column", "wrong_header",
             "short_row", "empty_cell", "non_number_cell"])
     def test_check_only_rejects_malformed_trajectory(self, tmp_path, capsys, line, column, value,
@@ -655,7 +655,8 @@ class TestSweep:
 
 @pytest.fixture
 def validate_calls(monkeypatch):
-    """Scenarios passed to validate_scenario, counted in every module that binds it."""
+    """Scenarios passed to validate_scenario. Every module validates through
+    core._require_valid, so core is the one module that binds it."""
     calls = []
     original = core.validate_scenario
 
@@ -664,12 +665,10 @@ def validate_calls(monkeypatch):
         return original(s)
 
     bound = [name for name, mod in list(sys.modules.items())
-             if name.partition(".")[0] == "platoonsim"
+             if name.startswith("platoonsim.")
              and getattr(mod, "validate_scenario", None) is original]
-    assert {"platoonsim.core", "platoonsim.cli", "platoonsim.integrator",
-            "platoonsim.perturbation"} <= set(bound)
-    for name in bound:
-        monkeypatch.setattr(sys.modules[name], "validate_scenario", counted)
+    assert bound == ["platoonsim.core"]
+    monkeypatch.setattr(core, "validate_scenario", counted)
     return calls
 
 

@@ -50,6 +50,14 @@ def test_package_exports_resolve_without_duplicates():
     assert len(set(platoonsim.__all__)) == len(platoonsim.__all__)
 
 
+def test_no_name_in_two_submodule_exports():
+    owners = {}
+    for module in SUBMODULES:
+        for name in getattr(importlib.import_module(f"platoonsim.{module}"), "__all__", ()):
+            owners.setdefault(name, []).append(module)
+    assert {name: mods for name, mods in owners.items() if len(mods) > 1} == {}
+
+
 @pytest.mark.parametrize("name", SUBMODULES)
 def test_submodule_exports_resolve(name):
     mod = importlib.import_module(f"platoonsim.{name}")
